@@ -12,6 +12,7 @@ approximation grades, not extra order clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .combinatorics import Family, FinFunc, Slalom
 from .errors import HorizonMismatch, InvalidCondition, KindMismatch
@@ -69,9 +70,7 @@ class FiniteTree:
     splitting_budget: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "nodes", frozenset(tuple(node) for node in self.nodes)
-        )
+        object.__setattr__(self, "nodes", frozenset(map(tuple, self.nodes)))
 
     @property
     def kind(self) -> str:
@@ -82,9 +81,35 @@ class FiniteTree:
         """Working depth: the maximal node length."""
         return max((len(n) for n in self.nodes), default=0)
 
+    @cached_property
+    def _kids(self) -> dict[Node, list[Node]]:
+        """Sorted children of every node that has one, built in one pass."""
+        kids: dict[Node, list[Node]] = {}
+        for node in self.nodes:
+            if node:
+                kids.setdefault(node[:-1], []).append(node)
+        return {parent: sorted(row) for parent, row in kids.items()}
+
+    @cached_property
+    def _split_levels(self) -> dict[Node, int]:
+        """Splitting level (splitting proper predecessors) of each splitting node."""
+        levels: dict[Node, int] = {}
+        stack = [((), 0)] if () in self.nodes else []
+        while stack:
+            node, count = stack.pop()
+            kids = self._kids.get(node, ())
+            if len(kids) >= 2:
+                levels[node] = count
+                count += 1
+            stack.extend((kid, count) for kid in kids)
+        return levels
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        return tuple(_validate_tree(self))
+
     def children(self, node: Node) -> list[Node]:
-        out = [m for m in self.nodes if len(m) == len(node) + 1 and m[: len(node)] == node]
-        return sorted(out)
+        return list(self._kids.get(node, ()))
 
     @property
     def stem(self) -> Node:
@@ -92,14 +117,12 @@ class FiniteTree:
         current: Node = ()
         if current not in self.nodes:
             return current
-        while True:
-            kids = self.children(current)
-            if len(kids) != 1:
-                return current
+        while len(kids := self._kids.get(current, ())) == 1:
             current = kids[0]
+        return current
 
     def leaves(self) -> list[Node]:
-        return sorted(n for n in self.nodes if not self.children(n))
+        return sorted(n for n in self.nodes if n not in self._kids)
 
 
 @dataclass(frozen=True)
@@ -119,17 +142,19 @@ Condition = CohenCond | HechlerCond | ECond | LocCond | FiniteTree | ProductCond
 
 
 def _validate_tree(t: FiniteTree) -> list[str]:
-    out = []
     if () not in t.nodes:
-        out.append("tree must contain the root")
-        return out
+        return ["tree must contain the root"]
+    flagged = []
     for node in t.nodes:
         if node and node[:-1] not in t.nodes:
-            out.append(f"not prefix-closed at {list(node)}")
+            flagged.append((node, "not prefix-closed"))
         if t.tree_kind == "sacks" and any(v not in (0, 1) for v in node):
-            out.append(f"binary alphabet violated at {list(node)}")
+            flagged.append((node, "binary alphabet violated"))
         if t.tree_kind == "laver" and any(v < 0 for v in node):
-            out.append(f"natural alphabet violated at {list(node)}")
+            flagged.append((node, "natural alphabet violated"))
+    # node order, so the message does not depend on how the set was built
+    flagged.sort(key=lambda item: item[0])
+    out = [f"{clause} at {list(node)}" for node, clause in flagged]
     depth = t.depth
     for leaf in t.leaves():
         if len(leaf) != depth:
@@ -173,15 +198,15 @@ def validate(cond: Condition) -> list[str]:
             out.append("|s| <= side horizon")
         return out
     if isinstance(cond, FiniteTree):
-        return _validate_tree(cond)
+        return list(cond._violations)
     if isinstance(cond, ProductCond):
         out = []
         if cond.sacks_part.tree_kind != "sacks":
             out.append("first component must be a sacks tree")
         if cond.laver_part.tree_kind != "laver":
             out.append("second component must be a laver tree")
-        out.extend(_validate_tree(cond.sacks_part))
-        out.extend(_validate_tree(cond.laver_part))
+        out.extend(cond.sacks_part._violations)
+        out.extend(cond.laver_part._violations)
         return out
     raise KindMismatch(f"not a condition: {type(cond).__name__}")
 
@@ -255,8 +280,8 @@ def leq(kind: str, a: Condition, b: Condition) -> bool:
     if kind in ("sacks", "laver"):
         return a.nodes <= b.nodes
     if kind == "product":
-        return leq("sacks", a.sacks_part, b.sacks_part) and leq(
-            "laver", a.laver_part, b.laver_part
+        return a.sacks_part.nodes <= b.sacks_part.nodes and (
+            a.laver_part.nodes <= b.laver_part.nodes
         )
     raise KindMismatch(f"unknown poset kind {kind!r}")
 
@@ -272,15 +297,7 @@ def splitting_nodes(tree: FiniteTree, n: int) -> list[Node]:
     violations = validate(tree)
     if violations:
         raise InvalidCondition(violations)
-    splits = {node for node in tree.nodes if len(tree.children(node)) >= 2}
-    out = []
-    for node in splits:
-        predecessors = sum(
-            1 for i in range(len(node)) if node[:i] in splits
-        )
-        if predecessors == n:
-            out.append(node)
-    return sorted(out)
+    return sorted(node for node, level in tree._split_levels.items() if level == n)
 
 
 def canonical_enum(tree: FiniteTree) -> list[Node]:
@@ -290,6 +307,10 @@ def canonical_enum(tree: FiniteTree) -> list[Node]:
     violations = validate(tree)
     if violations:
         raise InvalidCondition(violations)
+    return _canonical(tree)
+
+
+def _canonical(tree: FiniteTree) -> list[Node]:
     stem = tree.stem
     above = [
         node
@@ -304,29 +325,33 @@ def fusion_leq(kind: str, a: Condition, b: Condition, n: int) -> bool:
     first n + 1 splitting levels (sacks) or canonical nodes (laver).
 
     Levels accumulate, so the orders nest: fusion at n + 1 implies fusion
-    at n implies the plain order.
+    at n implies the plain order.  Levels past the last one a tree has are
+    empty, so the cost does not grow with n.
     """
     if n < 0:
         raise ValueError("fusion index must be a natural number")
     if kind not in FUSION_KINDS:
         raise KindMismatch(f"fusion orders exist for {FUSION_KINDS}, got {kind!r}")
     _require(kind, a, b)
+    if kind == "product":
+        return _fusion_leq("sacks", a.sacks_part, b.sacks_part, n) and _fusion_leq(
+            "laver", a.laver_part, b.laver_part, n
+        )
+    return _fusion_leq(kind, a, b, n)
+
+
+def _fusion_leq(kind: str, a: FiniteTree, b: FiniteTree, n: int) -> bool:
+    """fusion_leq on trees already checked by the caller."""
+    if not a.nodes <= b.nodes:
+        return False
     if kind == "sacks":
-        if not a.nodes <= b.nodes:
-            return False
-        for i in range(n + 1):
-            mine = set(splitting_nodes(a, i))
-            theirs = set(splitting_nodes(b, i))
-            if not mine <= theirs:
-                return False
-        return True
-    if kind == "laver":
-        if not a.nodes <= b.nodes:
-            return False
-        return canonical_enum(a)[: n + 1] == canonical_enum(b)[: n + 1]
-    return fusion_leq("sacks", a.sacks_part, b.sacks_part, n) and fusion_leq(
-        "laver", a.laver_part, b.laver_part, n
-    )
+        theirs = b._split_levels
+        return all(
+            theirs.get(node) == level
+            for node, level in a._split_levels.items()
+            if level <= n
+        )
+    return _canonical(a)[: n + 1] == _canonical(b)[: n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +402,9 @@ def condition_from_obj(obj) -> Condition:
         cells = tuple(frozenset(c) for c in obj["prefix"])
         return LocCond(Slalom.identity_width(cells), Family.from_obj(obj["side"]))
     if kind in ("sacks", "laver"):
-        nodes = frozenset(tuple(node) for node in obj["nodes"])
         return FiniteTree(
             kind,
-            nodes,
+            obj["nodes"],
             branching_budget=obj.get("branching_budget"),
             splitting_budget=obj.get("splitting_budget"),
         )

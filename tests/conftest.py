@@ -240,6 +240,14 @@ def make_laver(rng, stem_len=2, depth_above=3, budget=3, alphabet=5):
     return FiniteTree("laver", frozenset(nodes), branching_budget=budget)
 
 
+def oracle_children(tree, node):
+    """Brute-force children: a full scan of the node set, independent of
+    the tree's own child index."""
+    return sorted(
+        m for m in tree.nodes if len(m) == len(node) + 1 and m[: len(node)] == node
+    )
+
+
 def prune_tree(rng, tree, keep_probability=0.75):
     """A random subtree: keep the root, and a nonempty child subset at
     every kept node, so leaf depth stays uniform."""
@@ -247,7 +255,7 @@ def prune_tree(rng, tree, keep_probability=0.75):
     frontier = [()]
     while frontier:
         node = frontier.pop()
-        kids = tree.children(node)
+        kids = oracle_children(tree, node)
         if not kids:
             continue
         chosen = [k for k in kids if rng.random() < keep_probability]

@@ -2,10 +2,15 @@
 
 import io
 import json
+import random
 
 import pytest
 
+from cichon import ProductCond
 from cichon.cli import run
+from cichon.posets import condition_to_obj
+from conftest import make_laver, make_sacks, prune_tree
+from test_posets import last_level
 
 
 def invoke(argv):
@@ -221,6 +226,27 @@ def test_poset_fusion(tmp_path):
         ["poset", "--kind", "sacks", "--op", "fusion", "--a", a, "--b", b]
     )
     assert code == 2
+
+
+def test_poset_fusion_index_past_last_level(tmp_path):
+    """A huge --n answers at once, and like the last index that can
+    matter: the depth for sacks, the node count for laver."""
+    rng = random.Random(0xF05)
+    huge = "99999999999999999999"
+    for _ in range(4):
+        sb, lb = make_sacks(rng, depth=6), make_laver(rng)
+        sa, la = prune_tree(rng, sb), prune_tree(rng, lb)
+        pa, pb = ProductCond(sa, la), ProductCond(sb, lb)
+        for kind, a, b in (("sacks", sa, sb), ("laver", la, lb), ("product", pa, pb)):
+            for x, y in ((a, b), (b, b)):
+                fx = write(tmp_path, "x.json", condition_to_obj(x))
+                fy = write(tmp_path, "y.json", condition_to_obj(y))
+                argv = ["poset", "--kind", kind, "--op", "fusion", "--a", fx, "--b", fy]
+                last = str(last_level(kind, x, y))
+                code, out, _ = invoke(argv + ["--n", huge])
+                last_code, last_out, _ = invoke(argv + ["--n", last])
+                assert code == last_code
+                assert out.replace(huge, last) == last_out
 
 
 def test_poset_kind_mismatch(tmp_path):

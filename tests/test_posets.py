@@ -29,6 +29,7 @@ from conftest import (
     make_loc,
     make_sacks,
     extend_loc,
+    oracle_children,
     prune_tree,
     strengthen_cohen,
     strengthen_e,
@@ -192,19 +193,7 @@ def test_loc_prefix_agreement(rng):
 
 
 def oracle_splitting(tree, n):
-    """Independent walk counting splitting predecessors along each path."""
-    out = []
-
-    def walk(node, count):
-        kids = tree.children(node)
-        splits = len(kids) >= 2
-        if splits and count == n:
-            out.append(node)
-        for kid in kids:
-            walk(kid, count + (1 if splits else 0))
-
-    walk((), 0)
-    return sorted(out)
+    return BruteTree(tree).splitting(n)
 
 
 def test_splitting_nodes_full_tree():
@@ -292,6 +281,201 @@ def test_fusion_product_componentwise(rng):
         for n in range(3):
             expected = fusion_leq("sacks", qs, ps, n) and fusion_leq("laver", ql, pl, n)
             assert fusion_leq("product", prod_q, prod_p, n) == expected
+
+
+# ---------------------------------------------------------------------------
+# Oracle equivalence: the tree's child index and the tables derived from it
+# against brute-force scans of the node set
+
+
+class BruteTree:
+    """A tree read through full scans of its node set: every child list
+    comes from oracle_children, and the rest follows the definitions."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.kids = {node: oracle_children(tree, node) for node in tree.nodes}
+
+    def leaves(self):
+        return sorted(node for node, kids in self.kids.items() if not kids)
+
+    def stem(self):
+        stem = ()
+        if stem in self.kids:
+            while len(self.kids[stem]) == 1:
+                stem = self.kids[stem][0]
+        return stem
+
+    def validate(self):
+        t = self.tree
+        if () not in t.nodes:
+            return ["tree must contain the root"]
+        out = []
+        for node in sorted(t.nodes):
+            if node and node[:-1] not in t.nodes:
+                out.append(f"not prefix-closed at {list(node)}")
+            if t.tree_kind == "sacks" and any(v not in (0, 1) for v in node):
+                out.append(f"binary alphabet violated at {list(node)}")
+            if t.tree_kind == "laver" and any(v < 0 for v in node):
+                out.append(f"natural alphabet violated at {list(node)}")
+        depth = max(len(node) for node in t.nodes)
+        out += [
+            f"leaf {list(leaf)} at depth {len(leaf)} != working depth {depth}"
+            for leaf in self.leaves()
+            if len(leaf) != depth
+        ]
+        if t.tree_kind == "laver" and t.branching_budget is not None:
+            if t.branching_budget < 1:
+                out.append("branching budget must be >= 1")
+        return out
+
+    def splitting(self, n):
+        """Independent walk counting splitting predecessors along each path."""
+        out = []
+
+        def walk(node, count):
+            kids = self.kids[node]
+            splits = len(kids) >= 2
+            if splits and count == n:
+                out.append(node)
+            for kid in kids:
+                walk(kid, count + (1 if splits else 0))
+
+        walk((), 0)
+        return sorted(out)
+
+    def canonical(self):
+        stem = self.stem()
+        above = [
+            node
+            for node in self.tree.nodes
+            if len(node) > len(stem) and node[: len(stem)] == stem
+        ]
+        return sorted(above, key=lambda node: (len(node), node))
+
+
+def oracle_fusion(kind, a, b, n):
+    """The per-level definition of the tree fusion orders, on BruteTrees."""
+    if not a.tree.nodes <= b.tree.nodes:
+        return False
+    if kind == "sacks":
+        return all(set(a.splitting(i)) <= set(b.splitting(i)) for i in range(n + 1))
+    return a.canonical()[: n + 1] == b.canonical()[: n + 1]
+
+
+def as_laver(tree):
+    return FiniteTree("laver", tree.nodes, branching_budget=2)
+
+
+def sample_trees(rng):
+    """Random sacks and laver trees, random subtrees of them, and the
+    1,023-node full binary tree read as either kind."""
+    big = full_binary(9)
+    assert len(big.nodes) == 1023
+    trees = [big, as_laver(big), prune_tree(rng, big), prune_tree(rng, as_laver(big))]
+    for _ in range(40):
+        s = make_sacks(rng, depth=rng.randint(1, 6))
+        l = make_laver(rng, stem_len=rng.randint(0, 3), depth_above=rng.randint(1, 4))
+        trees += [s, prune_tree(rng, s), l, prune_tree(rng, l)]
+    return trees
+
+
+def damage(rng, tree):
+    """An invalid variant: some nodes dropped (breaking prefix closure or
+    leaf depth) and some off-alphabet nodes added."""
+    nodes = set(rng.sample(sorted(tree.nodes), max(1, len(tree.nodes) * 3 // 4)))
+    bad = 2 if tree.tree_kind == "sacks" else -1
+    for _ in range(rng.randint(0, 3)):
+        node = rng.choice(sorted(tree.nodes))
+        nodes.add(node + (bad,))
+    return FiniteTree(tree.tree_kind, frozenset(nodes), branching_budget=rng.choice((None, 0, 2)))
+
+
+def test_tree_index_matches_oracle(rng):
+    for tree in sample_trees(rng):
+        for t in (tree, damage(rng, tree)):
+            brute = BruteTree(t)
+            for node, kids in brute.kids.items():
+                assert t.children(node) == kids
+            absent = [node + (7,) for node in sorted(t.nodes)[:5]] + [(0,) * 11]
+            absent += {node[:-1] for node in t.nodes if node} - t.nodes
+            for node in absent:
+                assert t.children(node) == oracle_children(t, node)
+            assert t.leaves() == brute.leaves()
+            assert t.stem == brute.stem()
+            assert validate(t) == brute.validate()
+            if validate(t):
+                with pytest.raises(InvalidCondition):
+                    leq(t.tree_kind, t, t)
+
+
+def test_tree_tables_match_oracle(rng):
+    for t in sample_trees(rng):
+        brute = BruteTree(t)
+        if t.tree_kind == "sacks":
+            for n in range(t.depth + 2):
+                assert splitting_nodes(t, n) == brute.splitting(n)
+        else:
+            assert canonical_enum(t) == brute.canonical()
+
+
+def test_fusion_matches_oracle(rng):
+    trees = sample_trees(rng)
+    pairs = [(t, prune_tree(rng, t)) for t in trees] + list(zip(trees, trees[1:]))
+    for b, a in pairs:
+        if a.tree_kind != b.tree_kind:
+            continue
+        ba, bb = BruteTree(a), BruteTree(b)
+        for n in range(max(a.depth, b.depth) + 2):
+            assert fusion_leq(a.tree_kind, a, b, n) == oracle_fusion(a.tree_kind, ba, bb, n)
+            assert fusion_leq(a.tree_kind, b, a, n) == oracle_fusion(a.tree_kind, bb, ba, n)
+    for _ in range(30):
+        ps, pl = make_sacks(rng), make_laver(rng)
+        qs, ql = prune_tree(rng, ps), prune_tree(rng, pl)
+        for n in range(6):
+            expected = oracle_fusion("sacks", BruteTree(qs), BruteTree(ps), n) and (
+                oracle_fusion("laver", BruteTree(ql), BruteTree(pl), n)
+            )
+            assert fusion_leq("product", ProductCond(qs, ql), ProductCond(ps, pl), n) == expected
+
+
+def last_level(kind, a, b):
+    """The fusion index past which the order stops changing: the depth for
+    sacks (splitting levels past it are empty), the node count for laver
+    (the canonical enumeration is shorter)."""
+    if kind == "product":
+        return max(last_level("sacks", a.sacks_part, b.sacks_part),
+                   last_level("laver", a.laver_part, b.laver_part))
+    if kind == "sacks":
+        return max(a.depth, b.depth)
+    return max(len(a.nodes), len(b.nodes))
+
+
+def test_fusion_index_past_last_level(rng):
+    for kind, make in (("sacks", make_sacks), ("laver", make_laver)):
+        for _ in range(60):
+            b = make(rng)
+            a = prune_tree(rng, b)
+            for x, y in ((a, b), (b, b), (b, a)):
+                last = last_level(kind, x, y)
+                expected = fusion_leq(kind, x, y, last)
+                for n in (last + 1, last + 2, last + 7, 10**20):
+                    assert fusion_leq(kind, x, y, n) == expected
+    for _ in range(30):
+        p = ProductCond(make_sacks(rng), make_laver(rng))
+        q = ProductCond(prune_tree(rng, p.sacks_part), prune_tree(rng, p.laver_part))
+        last = last_level("product", q, p)
+        for n in (last + 1, 10**20):
+            assert fusion_leq("product", q, p, n) == fusion_leq("product", q, p, last)
+
+
+def test_laver_fusion_counts_canonical_nodes():
+    """Laver fusion indices count canonical nodes, not levels, so an index
+    past the depth can still tell two trees apart."""
+    b = as_laver(full_binary(2))
+    a = FiniteTree("laver", b.nodes - {(1, 1)}, branching_budget=2)
+    assert fusion_leq("laver", a, b, b.depth)
+    assert not fusion_leq("laver", a, b, len(b.nodes))
 
 
 # ---------------------------------------------------------------------------
