@@ -2,8 +2,10 @@
 
 Exit codes: 0 = success / the queried relation holds; 1 = the relation or
 law fails (a counterexample report is printed); 2 = malformed input or a
-violated precondition, reported on stderr by clause name.  Outputs are
-byte-identical across runs on identical inputs.
+violated precondition: a `CichonError` (a wrong shape or type in a file is
+`MalformedInput`, checked where it is decoded) or an unreadable file's
+`OSError`, printed on stderr as `<clause>: <message>`, or argparse's usage
+text.  Outputs are byte-identical across runs on identical inputs.
 """
 
 from __future__ import annotations
@@ -18,9 +20,16 @@ from . import constructions as cons
 from . import diagram as dia
 from . import posets
 from . import projections as proj
-from .errors import CichonError
+from .errors import CichonError, MalformedInput
 
 CONSTRUCT_KINDS = ("dominator", "ioe", "evdiff", "slalom", "evader", "random-family")
+
+# kind -> (name in `constructions`, looked up at call time; report relation, mode)
+WITNESS_KINDS = {
+    "dominator": ("family_dominator", "leq", "bounding"),
+    "ioe": ("round_robin_ioe", "eq", "evading"),
+    "evdiff": ("least_avoider", "eq", "evading"),
+}
 
 
 def _dump(obj) -> str:
@@ -29,7 +38,17 @@ def _dump(obj) -> str:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:  # syntax, encoding, depth
+            raise MalformedInput(f"{path}: not readable JSON: {exc}") from None
+
+
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a natural number, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,17 +73,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a witness from an input file")
     p.add_argument("--kind", choices=CONSTRUCT_KINDS, required=True)
     p.add_argument("--family", metavar="FILE")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--max-value", type=int, default=16)
+    p.add_argument("--horizon", type=_natural)
+    p.add_argument("--seed", type=_natural)
+    p.add_argument("--count", type=_natural, default=4)
+    p.add_argument("--max-value", type=_natural, default=16)
 
     p = sub.add_parser("poset", help="compare two forcing conditions")
     p.add_argument("--kind", choices=posets.POSET_KINDS, required=True)
     p.add_argument("--op", choices=("leq", "fusion"), required=True)
     p.add_argument("--a", required=True, metavar="FILE")
     p.add_argument("--b", required=True, metavar="FILE")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_natural)
 
     p = sub.add_parser("project", help="project or lift a localization condition")
     p.add_argument("--map", choices=("loc-d", "loc-e"), required=True, dest="map_name")
@@ -99,11 +118,8 @@ def _cmd_cuts(args, out) -> int:
 
 def _cmd_check(args, out) -> int:
     f = comb.FinFunc.from_obj(_load_json(args.f))
-    raw = _load_json(args.g)
-    if args.relation == "in":
-        target = comb.Slalom.from_obj(raw)
-    else:
-        target = comb.FinFunc.from_obj(raw)
+    decode = comb.Slalom.from_obj if args.relation == "in" else comb.FinFunc.from_obj
+    target = decode(_load_json(args.g))
     report = comb.least_threshold(args.relation, f, target)
     holds = not report.vacuous or f.horizon == 0
     payload = report.to_obj()
@@ -114,76 +130,52 @@ def _cmd_check(args, out) -> int:
     return 0 if holds else 1
 
 
-def _truncate_family(family, horizon):
-    if horizon > family.horizon:
-        raise ValueError(
-            f"--horizon {horizon} exceeds the family horizon {family.horizon}"
+def _truncate(obj, horizon):
+    """The first `horizon` positions of a family or a slalom."""
+    if horizon > obj.horizon:
+        raise MalformedInput(f"--horizon {horizon} exceeds the input's {obj.horizon}")
+    if isinstance(obj, comb.Slalom):
+        return comb.Slalom(
+            obj.cells[:horizon], comb.WidthProfile(obj.width.widths[:horizon])
         )
-    return comb.Family(
-        tuple(comb.FinFunc(f.values[:horizon]) for f in family), horizon
-    )
-
-
-def _truncate_slalom(sigma, horizon):
-    if horizon > sigma.horizon:
-        raise ValueError(
-            f"--horizon {horizon} exceeds the slalom horizon {sigma.horizon}"
-        )
-    return comb.Slalom(
-        sigma.cells[:horizon], comb.WidthProfile(sigma.width.widths[:horizon])
-    )
+    return comb.Family(tuple(comb.FinFunc(f.values[:horizon]) for f in obj), horizon)
 
 
 def _cmd_construct(args, out) -> int:
     if args.kind == "random-family":
-        if args.seed is None or args.horizon is None:
-            raise ValueError("random-family needs --seed and --horizon")
+        if args.seed is None or args.horizon is None or args.max_value < 1:
+            raise MalformedInput("random-family needs --seed, --horizon, --max-value >= 1")
+        if args.count * args.horizon > comb.MAX_VALUES:
+            raise MalformedInput(f"--count x --horizon exceeds {comb.MAX_VALUES}")
         rng = random.Random(args.seed)
-        family = comb.Family(
-            tuple(
-                comb.FinFunc(
-                    tuple(rng.randrange(args.max_value) for _ in range(args.horizon))
-                )
-                for _ in range(args.count)
-            ),
-            args.horizon,
-        )
-        print(_dump(family.to_obj()), file=out)
+        functions = [
+            [rng.randrange(args.max_value) for _ in range(args.horizon)]
+            for _ in range(args.count)
+        ]
+        print(_dump({"horizon": args.horizon, "functions": functions}), file=out)
         return 0
     if args.seed is not None:
-        raise ValueError("--seed is only accepted by --kind random-family")
+        raise MalformedInput("--seed is only accepted by --kind random-family")
     if args.family is None:
-        raise ValueError(f"--kind {args.kind} needs --family FILE")
-    raw = _load_json(args.family)
-    if args.kind == "evader":
-        sigma = comb.Slalom.from_obj(raw)
-        if args.horizon is not None:
-            sigma = _truncate_slalom(sigma, args.horizon)
-        result = cons.sum_evader_bound(sigma)
-        print(_dump({"kind": args.kind, "witness": result.to_obj()}), file=out)
-        return 0
-    family = comb.Family.from_obj(raw)
+        raise MalformedInput(f"--kind {args.kind} needs --family FILE")
+    decode = comb.Slalom.from_obj if args.kind == "evader" else comb.Family.from_obj
+    source = decode(_load_json(args.family))
     if args.horizon is not None:
-        family = _truncate_family(family, args.horizon)
-    if args.kind == "dominator":
-        witness = cons.family_dominator(family)
-        report = comb.family_report("leq", witness, family, "bounding")
-        payload = {"kind": args.kind, "witness": witness.to_obj(), "report": report.to_obj()}
-    elif args.kind == "ioe":
-        witness = cons.round_robin_ioe(family)
-        report = comb.family_report("eq", witness, family, "evading")
-        payload = {"kind": args.kind, "witness": witness.to_obj(), "report": report.to_obj()}
-    elif args.kind == "evdiff":
-        witness = cons.least_avoider(family)
-        report = comb.family_report("eq", witness, family, "evading")
-        payload = {"kind": args.kind, "witness": witness.to_obj(), "report": report.to_obj()}
-    else:  # slalom
-        sigma, thresholds = cons.family_slalom(family)
+        source = _truncate(source, args.horizon)
+    if args.kind == "evader":
+        payload = {"kind": args.kind, "witness": cons.sum_evader_bound(source).to_obj()}
+    elif args.kind == "slalom":
+        sigma, thresholds = cons.family_slalom(source)
         payload = {
             "kind": args.kind,
             "witness": sigma.to_obj(),
             "capture_thresholds": list(thresholds),
         }
+    else:
+        name, relation, mode = WITNESS_KINDS[args.kind]
+        witness = getattr(cons, name)(source)
+        report = comb.family_report(relation, witness, source, mode)
+        payload = {"kind": args.kind, "witness": witness.to_obj(), "report": report.to_obj()}
     print(_dump(payload), file=out)
     return 0
 
@@ -193,7 +185,7 @@ def _cmd_poset(args, out) -> int:
     b = posets.condition_from_obj(_load_json(args.b))
     if args.op == "fusion":
         if args.n is None:
-            raise ValueError("fusion comparison needs --n")
+            raise MalformedInput("fusion comparison needs --n")
         holds = posets.fusion_leq(args.kind, a, b, args.n)
     else:
         holds = posets.leq(args.kind, a, b)
@@ -210,7 +202,7 @@ def _cmd_project(args, out) -> int:
     if isinstance(raw, dict) and "loc" in raw:
         # pair file {"loc": ..., "target": ...}
         if args.lift is not None:
-            raise ValueError("--lift conflicts with a pair file in --cond")
+            raise MalformedInput("--lift conflicts with a pair file in --cond")
         cond = posets.condition_from_obj(raw["loc"])
         if "target" in raw:
             target = posets.condition_from_obj(raw["target"])
@@ -219,24 +211,21 @@ def _cmd_project(args, out) -> int:
         if args.lift is not None:
             target = posets.condition_from_obj(_load_json(args.lift))
     if not isinstance(cond, posets.LocCond):
-        raise ValueError("--cond must be a localization condition")
-    project = proj.proj_loc_to_d if args.map_name == "loc-d" else proj.proj_loc_to_e
-    if target is None:
-        projected = project(cond)
-        print(_dump(posets.condition_to_obj(projected)), file=out)
-        return 0
+        raise MalformedInput("--cond must be a localization condition")
     if args.map_name == "loc-d":
-        if args.reduce:
-            raise ValueError("--reduce applies to the loc-e map only")
-        if not isinstance(target, posets.HechlerCond):
-            raise ValueError("loc-d lift target must be a hechler condition")
-        lifted = proj.lift_loc_to_d(cond, target)
+        project, lift, wanted = proj.proj_loc_to_d, proj.lift_loc_to_d, "hechler"
     else:
-        if not isinstance(target, posets.ECond):
-            raise ValueError("loc-e lift target must be an e condition")
-        if args.reduce:
-            target = proj.reduce_e(target, cond.prefix.horizon)
-        lifted = proj.lift_loc_to_e(cond, target)
+        project, lift, wanted = proj.proj_loc_to_e, proj.lift_loc_to_e, "e"
+    if target is None:
+        print(_dump(posets.condition_to_obj(project(cond))), file=out)
+        return 0
+    if args.reduce and args.map_name == "loc-d":
+        raise MalformedInput("--reduce applies to the loc-e map only")
+    if target.kind != wanted:
+        raise MalformedInput(f"{args.map_name} lift needs a target of kind {wanted!r}")
+    if args.reduce:
+        target = proj.reduce_e(target, cond.prefix.horizon)
+    lifted = lift(cond, target)
     payload = {
         "lift": posets.condition_to_obj(lifted),
         "reprojection": posets.condition_to_obj(project(lifted)),
@@ -252,10 +241,7 @@ def _cmd_kb(args, out) -> int:
         {
             "name": profile.name,
             "citation": profile.citation,
-            "nonempty": sorted(
-                profile.state.nonempty_set(),
-                key=dia.NODES.index,
-            ),
+            "nonempty": sorted(profile.state.nonempty_set(), key=dia.NODE_RANK.get),
         }
         for profile in dia.kb_profiles()
     ]
@@ -284,11 +270,8 @@ def run(argv, stdout=None, stderr=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.verb](args, out)
-    except CichonError as exc:
-        print(f"{exc.clause}: {exc}", file=err)
-        return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=err)
+    except (CichonError, OSError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=err)
         return 2
 
 

@@ -12,17 +12,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import HorizonMismatch
+from .errors import HorizonMismatch, MalformedInput
 
 RELATIONS = ("leq", "neq", "in")
 HIT_RELATIONS = ("eq", "in")
 MODES = ("bounding", "evading")
 
+# The most values one input may ask for: a decoded family's horizon (which
+# constructions loop over, even with no members) and random-family's draws.
+MAX_VALUES = 10**6
+
 
 def _check_naturals(values, what):
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValueError(f"{what} must be natural numbers, got {v!r}")
+            raise MalformedInput(f"{what} must be natural numbers, got {v!r}")
+
+
+def _check_shape(obj, container, what, keys=(), items=None):
+    """`obj` if it is a `container` (list or dict) with every key in `keys`
+    and, if given, only `items` inside; else MalformedInput naming `what`."""
+    if not isinstance(obj, container):
+        got = type(obj).__name__
+        raise MalformedInput(f"{what} must be a {container.__name__}, got {got}")
+    for key in keys:
+        if key not in obj:
+            raise MalformedInput(f"{what} needs the key {key!r}")
+    if items is not None and not all(type(item) is items for item in obj):
+        raise MalformedInput(f"{what} must hold only {items.__name__}s")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -51,9 +69,7 @@ class FinFunc:
 
     @classmethod
     def from_obj(cls, obj) -> "FinFunc":
-        if not isinstance(obj, list):
-            raise ValueError("FinFunc JSON must be an array of naturals")
-        return cls(tuple(obj))
+        return cls(tuple(_check_shape(obj, list, "finite function")))
 
 
 @dataclass(frozen=True)
@@ -92,10 +108,11 @@ class Slalom:
     width: WidthProfile
 
     def __post_init__(self):
-        cells = tuple(frozenset(c) for c in self.cells)
-        object.__setattr__(self, "cells", cells)
-        for c in cells:
+        cells = tuple(self.cells)
+        for c in cells:  # before hashing, so an array member is reported
             _check_naturals(c, "slalom cell members")
+        cells = tuple(map(frozenset, cells))
+        object.__setattr__(self, "cells", cells)
         if self.width.horizon != len(cells):
             raise HorizonMismatch(
                 f"width horizon {self.width.horizon} != cell count {len(cells)}"
@@ -117,7 +134,7 @@ class Slalom:
 
     @classmethod
     def identity_width(cls, cells) -> "Slalom":
-        cells = tuple(frozenset(c) for c in cells)
+        cells = tuple(cells)
         return cls(cells, WidthProfile.identity(len(cells)))
 
     def to_obj(self):
@@ -128,11 +145,10 @@ class Slalom:
 
     @classmethod
     def from_obj(cls, obj) -> "Slalom":
-        if not isinstance(obj, dict) or "cells" not in obj:
-            raise ValueError('Slalom JSON must be {"width": [...], "cells": [[...]...]}')
-        cells = tuple(frozenset(c) for c in obj["cells"])
+        _check_shape(obj, dict, "slalom", ("cells",))
+        cells = tuple(_check_shape(obj["cells"], list, "slalom cells", items=list))
         if "width" in obj:
-            width = WidthProfile(tuple(obj["width"]))
+            width = WidthProfile(tuple(_check_shape(obj["width"], list, "slalom width")))
         else:
             width = WidthProfile.identity(len(cells))
         return cls(cells, width)
@@ -170,12 +186,13 @@ class Family:
 
     @classmethod
     def from_obj(cls, obj) -> "Family":
-        if not isinstance(obj, dict) or "horizon" not in obj or "functions" not in obj:
-            raise ValueError('Family JSON must be {"horizon": N, "functions": [[...]...]}')
-        return cls(
-            tuple(FinFunc.from_obj(f) for f in obj["functions"]),
-            int(obj["horizon"]),
-        )
+        _check_shape(obj, dict, "family", ("horizon", "functions"))
+        horizon = obj["horizon"]
+        _check_naturals((horizon,), "family horizon")
+        if horizon > MAX_VALUES:
+            raise MalformedInput(f"family horizon {horizon} exceeds {MAX_VALUES}")
+        functions = _check_shape(obj["functions"], list, "family functions")
+        return cls(tuple(FinFunc.from_obj(f) for f in functions), horizon)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinatorics import Family, FinFunc, Slalom, WidthProfile, least_threshold
+from .combinatorics import (
+    Family,
+    FinFunc,
+    Slalom,
+    WidthProfile,
+    _check_shape,
+    least_threshold,
+)
 from .errors import (
     EmptyFamily,
     HorizonTooShort,
+    MalformedInput,
     NoAdmissibleString,
     ShapeMismatch,
     ZeroWidth,
@@ -144,11 +152,8 @@ class BlockPartition:
 
     @classmethod
     def from_obj(cls, obj) -> "BlockPartition":
-        if not isinstance(obj, dict) or "width" not in obj or "cells" not in obj:
-            raise ValueError('BlockPartition JSON must be {"width": [...], "cells": [[[...]...]...]}')
-        cells = tuple(
-            tuple(frozenset(c) for c in block) for block in obj["cells"]
-        )
+        _check_shape(obj, dict, "block partition", ("width", "cells"))
+        cells = tuple(tuple(frozenset(c) for c in block) for block in obj["cells"])
         width = WidthProfile(tuple(obj["width"]))
         covered = sum(len(c) for block in cells for c in block)
         return cls(cells, width, covered)
@@ -319,7 +324,7 @@ class BitstringFunc:
     def __post_init__(self):
         for v in self.values:
             if not isinstance(v, str) or any(ch not in "01" for ch in v):
-                raise ValueError(f"bitstring values must be over {{0,1}}, got {v!r}")
+                raise MalformedInput(f"bitstring values must be over {{0,1}}, got {v!r}")
 
     @property
     def horizon(self) -> int:
@@ -333,9 +338,8 @@ class BitstringFunc:
 
     @classmethod
     def from_obj(cls, obj) -> "BitstringFunc":
-        if not isinstance(obj, list):
-            raise ValueError('bitstring JSON must be an array of {"bits": "..."}')
-        return cls(tuple(entry["bits"] for entry in obj))
+        entries = _check_shape(obj, list, "bitstring function", items=dict)
+        return cls(tuple(entry.get("bits") for entry in entries))
 
 
 def string_encode(g: BitstringFunc, enum: StringEnumeration | None = None) -> FinFunc:

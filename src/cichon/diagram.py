@@ -13,9 +13,10 @@ are asserted, left open, or refuted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
+from .combinatorics import _check_shape
 from .errors import UnknownForcing
 
 NODES = ("Empty", "BIn", "BLeq", "BNeq", "DNeq", "DLeq", "DIn", "AllNew")
@@ -66,6 +67,9 @@ def reachable(start: str) -> frozenset[str]:
 
 REACHABLE = {node: reachable(node) for node in NODES}
 
+# Position of each node in diagram order, the one sort key for node lists.
+NODE_RANK = {node: i for i, node in enumerate(NODES)}
+
 
 def is_upward_closed(nonempty: frozenset[str]) -> bool:
     return all(REACHABLE[node] <= nonempty for node in nonempty)
@@ -79,8 +83,7 @@ class Cut:
     realized_by: str | None = None
 
     def sorted_nodes(self) -> list[str]:
-        order = {node: i for i, node in enumerate(NODES)}
-        return sorted(self.nonempty, key=order.__getitem__)
+        return sorted(self.nonempty, key=NODE_RANK.get)
 
     def to_obj(self):
         return {"nonempty": self.sorted_nodes(), "realized_by": self.realized_by}
@@ -164,11 +167,10 @@ class DiagramState:
 
     @classmethod
     def from_obj(cls, obj) -> "DiagramState":
-        if not isinstance(obj, dict) or "emptiness" not in obj:
-            raise ValueError('DiagramState JSON must carry an "emptiness" map')
+        _check_shape(obj, dict, "diagram state", ("emptiness",))
         classes = obj.get("classes")
         return cls(
-            emptiness=dict(obj["emptiness"]),
+            emptiness=dict(_check_shape(obj["emptiness"], dict, "diagram emptiness")),
             classes=None if classes is None else tuple(tuple(c) for c in classes),
             separators=None
             if obj.get("separators") is None
@@ -183,7 +185,10 @@ class ForcingProfile:
 
     name: str
     state: DiagramState
-    citation: str = field(default="")
+
+    @property
+    def citation(self) -> str:
+        return self.state.citation or ""
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +249,6 @@ def enumerate_cuts() -> list[Cut]:
     realizers = {
         profile.state.nonempty_set(): profile.name for profile in kb_profiles()
     }
-    order = {node: i for i, node in enumerate(NODES)}
     cuts = []
     for mask in range(1 << len(REGION_NODES)):
         subset = frozenset(
@@ -252,7 +256,7 @@ def enumerate_cuts() -> list[Cut]:
         )
         if is_upward_closed(subset):
             cuts.append(Cut(subset, realizers.get(subset)))
-    cuts.sort(key=lambda c: (len(c.nonempty), [order[n] for n in c.sorted_nodes()]))
+    cuts.sort(key=lambda c: (len(c.nonempty), sorted(map(NODE_RANK.get, c.nonempty))))
     return cuts
 
 
@@ -272,15 +276,13 @@ def _load_kb() -> dict:
         for name, entry in raw["profiles"].items():
             state = DiagramState.from_obj(entry)
             _check_profile(name, state)
-            profiles[name] = ForcingProfile(name, state, entry.get("citation", ""))
+            profiles[name] = ForcingProfile(name, state)
         products = {}
         for entry in raw.get("products", []):
             key = tuple(sorted(entry["factors"]))
             state = DiagramState.from_obj(entry["profile"])
             _check_profile("*".join(key), state)
-            products[key] = ForcingProfile(
-                "*".join(key), state, entry["profile"].get("citation", "")
-            )
+            products[key] = ForcingProfile("*".join(key), state)
         _KB_CACHE = {"profiles": profiles, "products": products}
     return _KB_CACHE
 

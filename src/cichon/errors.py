@@ -1,16 +1,16 @@
 """Error types shared across the package.
 
 Every exception names the violated clause via its class name; the CLI
-reports that name verbatim and exits with status 2.
+prints `<clause>: <message>` on stderr and exits with status 2.
 """
 
 
 class CichonError(Exception):
     """Base class for all domain errors."""
 
-    @property
-    def clause(self) -> str:
-        return type(self).__name__
+
+class MalformedInput(CichonError, ValueError):
+    """Input of the wrong JSON shape or type, or an argument out of range."""
 
 
 class HorizonMismatch(CichonError):

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .combinatorics import Family, FinFunc, Slalom
-from .errors import HorizonMismatch, InvalidCondition, KindMismatch
+from .combinatorics import Family, FinFunc, Slalom, _check_naturals, _check_shape
+from .errors import HorizonMismatch, InvalidCondition, KindMismatch, MalformedInput
 
 POSET_KINDS = ("cohen", "hechler", "e", "loc", "sacks", "laver", "product")
 FUSION_KINDS = ("sacks", "laver", "product")
@@ -145,13 +145,17 @@ def _validate_tree(t: FiniteTree) -> list[str]:
     if () not in t.nodes:
         return ["tree must contain the root"]
     flagged = []
+    binary = t.tree_kind == "sacks"
     for node in t.nodes:
         if node and node[:-1] not in t.nodes:
             flagged.append((node, "not prefix-closed"))
-        if t.tree_kind == "sacks" and any(v not in (0, 1) for v in node):
+        if binary and any(type(v) is not int or v not in (0, 1) for v in node):
             flagged.append((node, "binary alphabet violated"))
-        if t.tree_kind == "laver" and any(v < 0 for v in node):
+        if t.tree_kind == "laver" and any(type(v) is not int or v < 0 for v in node):
             flagged.append((node, "natural alphabet violated"))
+    # a non-integer entry is malformed, and must not reach the sorts below
+    if any(type(v) is not int for node, _ in flagged for v in node):
+        raise MalformedInput(f"{t.tree_kind} node entries must be natural numbers")
     # node order, so the message does not depend on how the set was built
     flagged.sort(key=lambda item: item[0])
     out = [f"{clause} at {list(node)}" for node, clause in flagged]
@@ -176,22 +180,13 @@ def validate(cond: Condition) -> list[str]:
     """
     if isinstance(cond, CohenCond):
         return []
-    if isinstance(cond, HechlerCond):
-        out = []
-        if cond.stem.horizon > cond.side.horizon:
-            out.append("stem horizon <= side horizon")
-        return out
-    if isinstance(cond, ECond):
-        out = []
-        if cond.stem.horizon > cond.side.horizon:
-            out.append("stem horizon <= family horizon")
-        return out
+    if isinstance(cond, (HechlerCond, ECond)):
+        side = "side" if cond.kind == "hechler" else "family"
+        fits = cond.stem.horizon <= cond.side.horizon
+        return [] if fits else [f"stem horizon <= {side} horizon"]
     if isinstance(cond, LocCond):
-        out = []
         s = cond.prefix
-        for n in range(s.horizon):
-            if len(s[n]) > n:
-                out.append(f"|s(n)| <= n at n={n}")
+        out = [f"|s(n)| <= n at n={n}" for n in range(s.horizon) if len(s[n]) > n]
         if len(cond.side) > s.horizon:
             out.append("|F| <= |s|")
         if s.horizon > cond.side.horizon:
@@ -211,21 +206,21 @@ def validate(cond: Condition) -> list[str]:
     raise KindMismatch(f"not a condition: {type(cond).__name__}")
 
 
-def _kind_of(cond: Condition) -> str:
-    if isinstance(cond, FiniteTree):
-        return cond.tree_kind
-    return cond.kind
+def require_valid(cond: Condition) -> Condition:
+    """The condition itself, or InvalidCondition naming every violation."""
+    violations = validate(cond)
+    if violations:
+        raise InvalidCondition(violations)
+    return cond
 
 
 def _require(kind: str, a: Condition, b: Condition):
     if kind not in POSET_KINDS:
         raise KindMismatch(f"unknown poset kind {kind!r}")
     for cond in (a, b):
-        if _kind_of(cond) != kind:
-            raise KindMismatch(f"expected {kind!r} condition, got {_kind_of(cond)!r}")
-        violations = validate(cond)
-        if violations:
-            raise InvalidCondition(violations)
+        if cond.kind != kind:
+            raise KindMismatch(f"expected {kind!r} condition, got {cond.kind!r}")
+        require_valid(cond)
 
 
 def _extends(longer: FinFunc, shorter: FinFunc) -> bool:
@@ -294,9 +289,7 @@ def splitting_nodes(tree: FiniteTree, n: int) -> list[Node]:
     """Splitting nodes with exactly n splitting proper predecessors."""
     if tree.tree_kind != "sacks":
         raise KindMismatch("splitting nodes are defined for sacks trees")
-    violations = validate(tree)
-    if violations:
-        raise InvalidCondition(violations)
+    require_valid(tree)
     return sorted(node for node, level in tree._split_levels.items() if level == n)
 
 
@@ -304,10 +297,7 @@ def canonical_enum(tree: FiniteTree) -> list[Node]:
     """Nodes strictly above the stem in length-then-lexicographic order."""
     if tree.tree_kind != "laver":
         raise KindMismatch("the canonical enumeration is defined for laver trees")
-    violations = validate(tree)
-    if violations:
-        raise InvalidCondition(violations)
-    return _canonical(tree)
+    return _canonical(require_valid(tree))
 
 
 def _canonical(tree: FiniteTree) -> list[Node]:
@@ -359,12 +349,10 @@ def _fusion_leq(kind: str, a: FiniteTree, b: FiniteTree, n: int) -> bool:
 
 
 def condition_to_obj(cond: Condition):
-    kind = _kind_of(cond)
+    kind = cond.kind
     if isinstance(cond, CohenCond):
         return {"kind": kind, "stem": cond.stem.to_obj()}
-    if isinstance(cond, HechlerCond):
-        return {"kind": kind, "stem": cond.stem.to_obj(), "side": cond.side.to_obj()}
-    if isinstance(cond, ECond):
+    if isinstance(cond, (HechlerCond, ECond)):
         return {"kind": kind, "stem": cond.stem.to_obj(), "side": cond.side.to_obj()}
     if isinstance(cond, LocCond):
         return {
@@ -389,27 +377,37 @@ def condition_to_obj(cond: Condition):
 
 
 def condition_from_obj(obj) -> Condition:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError('condition JSON must be a tagged object {"kind": ...}')
-    kind = obj["kind"]
+    kind = _check_shape(obj, dict, "condition", ("kind",))["kind"]
     if kind == "cohen":
+        _check_shape(obj, dict, "cohen condition", ("stem",))
         return CohenCond(FinFunc.from_obj(obj["stem"]))
     if kind == "hechler":
+        _check_shape(obj, dict, "hechler condition", ("stem", "side"))
         return HechlerCond(FinFunc.from_obj(obj["stem"]), FinFunc.from_obj(obj["side"]))
     if kind == "e":
+        _check_shape(obj, dict, "e condition", ("stem", "side"))
         return ECond(FinFunc.from_obj(obj["stem"]), Family.from_obj(obj["side"]))
     if kind == "loc":
-        cells = tuple(frozenset(c) for c in obj["prefix"])
-        return LocCond(Slalom.identity_width(cells), Family.from_obj(obj["side"]))
+        _check_shape(obj, dict, "loc condition", ("prefix", "side"))
+        prefix = _check_shape(obj["prefix"], list, "loc prefix", items=list)
+        return LocCond(Slalom.identity_width(prefix), Family.from_obj(obj["side"]))
     if kind in ("sacks", "laver"):
-        return FiniteTree(
-            kind,
-            obj["nodes"],
-            branching_budget=obj.get("branching_budget"),
-            splitting_budget=obj.get("splitting_budget"),
-        )
+        return _tree_from_obj(obj)
     if kind == "product":
-        return ProductCond(
-            condition_from_obj(obj["sacks"]), condition_from_obj(obj["laver"])
-        )
-    raise ValueError(f"unknown condition kind {kind!r}")
+        _check_shape(obj, dict, "product condition", ("sacks", "laver"))
+        return ProductCond(_tree_from_obj(obj["sacks"]), _tree_from_obj(obj["laver"]))
+    raise MalformedInput(f"unknown condition kind {kind!r}")
+
+
+def _tree_from_obj(obj) -> FiniteTree:
+    """A sacks or laver tree, also as a product component (never a product)."""
+    kind = _check_shape(obj, dict, "tree", ("kind", "nodes"))["kind"]
+    if kind not in ("sacks", "laver"):
+        raise MalformedInput(f"expected a sacks or laver tree, got {kind!r}")
+    nodes = _check_shape(obj["nodes"], list, f"{kind} nodes", items=list)
+    budgets = obj.get("branching_budget"), obj.get("splitting_budget")
+    _check_naturals([b for b in budgets if b is not None], f"{kind} budgets")
+    try:
+        return FiniteTree(kind, nodes, *budgets)
+    except TypeError:  # an array or object entry cannot be hashed
+        raise MalformedInput(f"{kind} node entries must be natural numbers") from None

@@ -16,19 +16,11 @@ from .errors import (
     FamilyTooLarge,
     GrowthTooSmall,
     HorizonMismatch,
-    InvalidCondition,
     NotBelowProjection,
     RankTooLarge,
     SideTooSmall,
 )
-from .posets import ECond, HechlerCond, LocCond, leq, validate
-
-
-def _validated(cond):
-    violations = validate(cond)
-    if violations:
-        raise InvalidCondition(violations)
-    return cond
+from .posets import ECond, HechlerCond, LocCond, leq, require_valid
 
 
 def family_sum(family: Family) -> FinFunc:
@@ -56,13 +48,23 @@ def _rank_outside(excluded: set[int], m: int) -> int | None:
     return m - sum(1 for x in excluded if x < m)
 
 
+def _require_liftable(c: LocCond, q) -> None:
+    """Both conditions valid and on one working horizon."""
+    require_valid(c)
+    require_valid(q)
+    if c.side.horizon != q.side.horizon:
+        raise HorizonMismatch(
+            f"working horizons differ: {c.side.horizon} vs {q.side.horizon}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Localization -> Hechler
 
 
 def proj_loc_to_d(c: LocCond) -> HechlerCond:
     """(s, F) maps to (n -> max s(n), pointwise sum of F)."""
-    _validated(c)
+    require_valid(c)
     stem = FinFunc(tuple(max(cell, default=0) for cell in c.prefix.cells))
     return HechlerCond(stem, family_sum(c.side))
 
@@ -80,12 +82,7 @@ def lift_loc_to_d(c: LocCond, q: HechlerCond) -> LocCond:
     least unused values below q.stem(n) up to exactly n members.  Then
     the result strengthens c and projects back to q exactly.
     """
-    _validated(c)
-    _validated(q)
-    if c.side.horizon != q.side.horizon:
-        raise HorizonMismatch(
-            f"working horizons differ: {c.side.horizon} vs {q.side.horizon}"
-        )
+    _require_liftable(c, q)
     s, fam = c.prefix, c.side
     if len(fam) >= s.horizon:
         raise FamilyTooLarge(f"|F| = {len(fam)} must be < |s| = {s.horizon}")
@@ -126,7 +123,7 @@ def proj_loc_to_e(c: LocCond) -> ECond:
 
     The side family passes through unchanged.
     """
-    _validated(c)
+    require_valid(c)
     s = c.prefix
     stem = []
     for n in range(s.horizon):
@@ -153,13 +150,8 @@ def lift_loc_to_e(c: LocCond, q: ECond) -> LocCond:
     untouched).  Keeping all padding above the stem value preserves its
     avoidance rank, so re-projection returns q's stem on its domain.
     """
-    _validated(c)
-    _validated(q)
+    _require_liftable(c, q)
     s = c.prefix
-    if c.side.horizon != q.side.horizon:
-        raise HorizonMismatch(
-            f"working horizons differ: {c.side.horizon} vs {q.side.horizon}"
-        )
     projected = proj_loc_to_e(c)
     if not leq("e", q, projected):
         raise NotBelowProjection("target does not strengthen the projection")
@@ -204,7 +196,7 @@ def reduce_e(q: ECond, from_position: int) -> ECond:
     value outside the side values there (rank 0); liftable values are
     kept.  The side family is untouched.
     """
-    _validated(q)
+    require_valid(q)
     stem = list(q.stem.values)
     for n in range(max(from_position, 0), len(stem)):
         side_values = {f[n] for f in q.side}

@@ -5,10 +5,12 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cichon import ProductCond
+from cichon import ProductCond, errors
 from cichon.cli import run
-from cichon.posets import condition_to_obj
+from cichon.posets import POSET_KINDS, condition_to_obj
 from conftest import make_laver, make_sacks, prune_tree
 from test_posets import last_level
 
@@ -398,3 +400,147 @@ def test_unknown_verb_rejected():
 def test_unknown_flag_rejected():
     code, _, _ = invoke(["cuts", "--nope"])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# One rejection path: every refused input exits 2 with a clause name
+
+POSET = ["poset", "--kind", "{kind}", "--op", "leq", "--a", "{f}", "--b", "{f}"]
+FAMILY = ["construct", "--kind", "dominator", "--family", "{f}"]
+EVADER = ["construct", "--kind", "evader", "--family", "{f}"]
+PROJECT = ["project", "--map", "loc-d", "--cond", "{f}"]
+CHECK = ["check", "--relation", "leq", "--f", "{f}", "--g", "{f}"]
+NO_SIDE = {"horizon": 1, "functions": []}
+ROOT_ONLY = {"kind": "laver", "nodes": [[]]}
+MALFORMED = {
+    "laver-string-entry-no-root": (POSET, {"kind": "laver", "nodes": [["a"]]}),
+    "laver-string-child": (POSET, {"kind": "laver", "nodes": [[], ["a"]]}),
+    "sacks-bool-child": (POSET, {"kind": "sacks", "nodes": [[], [True]]}),
+    "laver-array-entry": (POSET, {"kind": "laver", "nodes": [[], [[1]]]}),
+    "laver-object-node": (POSET, {"kind": "laver", "nodes": [{}]}),
+    "nodes-number": (POSET, {"kind": "laver", "nodes": 5}),
+    "budget-string": (POSET, {**ROOT_ONLY, "branching_budget": "x"}),
+    "product-of-cohen": (
+        POSET,
+        {"kind": "product", "sacks": {"kind": "cohen", "stem": []}, "laver": ROOT_ONLY},
+    ),
+    "loc-prefix-number": (PROJECT, {"kind": "loc", "prefix": 5, "side": NO_SIDE}),
+    "functions-number": (FAMILY, {"horizon": 1, "functions": 5}),
+    "horizon-float": (FAMILY, {"horizon": 3.7, "functions": []}),
+    "horizon-bool": (FAMILY, {"horizon": True, "functions": []}),
+    "cells-number": (EVADER, {"cells": [5]}),
+    "deep-nesting": (CHECK, "[" * 100_000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_names_clause(tmp_path, case):
+    argv, payload = MALFORMED[case]
+    path = tmp_path / "in.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    kind = payload.get("kind", "") if isinstance(payload, dict) else ""
+    code, out, err = invoke([a.format(f=path, kind=kind) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(("MalformedInput: ", "InvalidCondition: "))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--kind", "evader", "--family", "s.json", "--horizon", "-1"],
+        ["construct", "--kind", "random-family", "--seed", "1", "--horizon", "3",
+         "--count", "-1"],
+        ["construct", "--kind", "random-family", "--seed", "-1", "--horizon", "3"],
+        ["construct", "--kind", "random-family", "--seed", "1", "--horizon", "3",
+         "--max-value", "0"],
+        ["poset", "--kind", "sacks", "--op", "fusion", "--a", "a.json",
+         "--b", "b.json", "--n", "-1"],
+    ],
+)
+def test_negative_and_zero_arguments_rejected(capsys, argv):
+    code, out, err = invoke(argv)
+    assert code == 2
+    assert out == ""
+    # argparse writes its usage text to the process's stderr
+    assert (err or capsys.readouterr().err).startswith(("usage:", "MalformedInput: "))
+
+
+def test_resource_bounds(tmp_path):
+    """random-family draws at most MAX_VALUES values, and a decoded family
+    declares at most MAX_VALUES positions, members or not."""
+    draw = ["construct", "--kind", "random-family", "--seed", "1"]
+    for count, horizon in (("1001", "1000"), ("4", str(10**12))):
+        code, out, err = invoke(draw + ["--count", count, "--horizon", horizon])
+        assert (code, out) == (2, "")
+        assert err.startswith("MalformedInput: ")
+    fam = write(tmp_path, "fam.json", {"horizon": 10**12, "functions": []})
+    code, out, err = invoke(["construct", "--kind", "dominator", "--family", fam])
+    assert (code, out) == (2, "")
+    assert err.startswith("MalformedInput: ")
+
+
+CLAUSES = {
+    name
+    for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, errors.CichonError)
+}
+FIELDS = (
+    "kind", "stem", "side", "prefix", "nodes", "horizon", "functions", "cells",
+    "width", "sacks", "laver", "loc", "target", "branching_budget",
+    "splitting_budget",
+)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(POSET_KINDS),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=30,
+)
+ARGVS = st.one_of(
+    st.builds(
+        lambda rel: ["check", "--relation", rel, "--f", "{a}", "--g", "{b}"],
+        st.sampled_from(("leq", "neq", "in")),
+    ),
+    st.builds(
+        lambda kind, horizon: ["construct", "--kind", kind, "--family", "{a}"] + horizon,
+        st.sampled_from(("dominator", "ioe", "evdiff", "slalom", "evader")),
+        st.sampled_from(([], ["--horizon", "0"], ["--horizon", "2"])),
+    ),
+    st.builds(
+        lambda kind, op: ["poset", "--kind", kind, "--op", op, "--a", "{a}", "--b", "{b}"]
+        + (["--n", "1"] if op == "fusion" else []),
+        st.sampled_from(POSET_KINDS),
+        st.sampled_from(("leq", "fusion")),
+    ),
+    st.builds(
+        lambda name, lift, reduce: ["project", "--map", name, "--cond", "{a}"]
+        + lift + reduce,
+        st.sampled_from(("loc-d", "loc-e")),
+        st.sampled_from(([], ["--lift", "{b}"])),
+        st.sampled_from(([], ["--reduce"])),
+    ),
+)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(ARGVS, JSON, JSON)
+def test_arbitrary_json_keeps_exit_code_contract(tmp_path, argv, first, second):
+    """Every file slot takes any JSON: nothing escapes, the exit code stays in
+    {0, 1, 2}, an exit 2 names a clause from errors.py (the arguments are
+    always well formed, so argparse never answers), and a second call gives
+    the same answer."""
+    paths = {
+        "{a}": write(tmp_path, "a.json", first),
+        "{b}": write(tmp_path, "b.json", second),
+    }
+    argv = [paths.get(a, a) for a in argv]
+    code, out, err = invoke(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.split(":", 1)[0] in CLAUSES
+    assert invoke(argv) == (code, out, err)
