@@ -11,6 +11,7 @@ text.  Outputs are byte-identical across runs on identical inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -33,7 +34,7 @@ WITNESS_KINDS = {
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return comb.dump_json(obj)
 
 
 def _load_json(path: str):
@@ -264,10 +265,12 @@ def run(argv, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    # argparse writes --help to sys.stdout and usage errors to sys.stderr
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return _COMMANDS[args.verb](args, out)
     except (CichonError, OSError) as exc:

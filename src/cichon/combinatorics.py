@@ -9,7 +9,10 @@ with threshold == horizon is flagged as vacuous.
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import HorizonMismatch, MalformedInput
@@ -22,11 +25,45 @@ MODES = ("bounding", "evading")
 # constructions loop over, even with no members) and random-family's draws.
 MAX_VALUES = 10**6
 
+# Every natural an object holds, read or computed, stays below this, so it
+# prints: Python refuses to print an int of more than 4,300 digits.  A
+# construction whose result would reach it (a value + 1, a cell sum) is
+# refused like an input beyond it.
+MAX_NATURAL = 10**4000
+
 
 def _check_naturals(values, what):
+    """MalformedInput naming the first entry of the sequence `values` that
+    is not an int in [0, MAX_NATURAL); bools are not naturals."""
+    if not values or (
+        set(map(type, values)) <= {int} and min(values) >= 0 and max(values) < MAX_NATURAL
+    ):
+        return
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise MalformedInput(f"{what} must be natural numbers, got {v!r}")
+        if v >= MAX_NATURAL:
+            raise MalformedInput(f"{what} must be below 10**4000, got a {v.bit_length()}-bit value")
+
+
+def dump_json(obj, indent: str = "") -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for JSON
+    values with str keys (tuples count as lists), nested at `indent`.
+
+    That call never reaches json's C encoder, which serves only indent=None,
+    so the containers are laid out here; scalars still go through json.
+    """
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) == {int}:
+            items = map(str, obj)
+        else:
+            items = [dump_json(v, inner) for v in obj]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(obj, dict) and obj:
+        items = [f"{json.dumps(k)}: {dump_json(v, inner)}" for k, v in sorted(obj.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return json.dumps(obj)
 
 
 def _check_shape(obj, container, what, keys=(), items=None):
@@ -38,7 +75,7 @@ def _check_shape(obj, container, what, keys=(), items=None):
     for key in keys:
         if key not in obj:
             raise MalformedInput(f"{what} needs the key {key!r}")
-    if items is not None and not all(type(item) is items for item in obj):
+    if items is not None and not set(map(type, obj)) <= {items}:
         raise MalformedInput(f"{what} must hold only {items.__name__}s")
     return obj
 
@@ -109,8 +146,8 @@ class Slalom:
 
     def __post_init__(self):
         cells = tuple(self.cells)
-        for c in cells:  # before hashing, so an array member is reported
-            _check_naturals(c, "slalom cell members")
+        # before hashing, so an array member is reported
+        _check_naturals(list(itertools.chain.from_iterable(cells)), "slalom cell members")
         cells = tuple(map(frozenset, cells))
         object.__setattr__(self, "cells", cells)
         if self.width.horizon != len(cells):
@@ -140,7 +177,7 @@ class Slalom:
     def to_obj(self):
         return {
             "width": list(self.width.widths),
-            "cells": [sorted(c) for c in self.cells],
+            "cells": list(map(sorted, self.cells)),
         }
 
     @classmethod
@@ -235,16 +272,13 @@ class RelationReport:
         }
 
 
-def _pointwise(rel: str, f: FinFunc, target, l: int) -> bool:
-    if rel == "leq":
-        return f[l] <= target[l]
-    if rel == "neq":
-        return f[l] != target[l]
-    if rel == "in":
-        return f[l] in target[l]
-    if rel == "eq":
-        return f[l] == target[l]
-    raise ValueError(f"unknown relation kind {rel!r}")
+# relation -> (f, target) -> for each position l < N, whether f(l) rel target(l)
+_POINTWISE = {
+    "leq": lambda f, t: map(operator.le, f.values, t.values),
+    "neq": lambda f, t: map(operator.ne, f.values, t.values),
+    "eq": lambda f, t: map(operator.eq, f.values, t.values),
+    "in": lambda f, t: map(operator.contains, t.cells, f.values),
+}
 
 
 def _check_target(rel: str, f: FinFunc, target):
@@ -262,19 +296,16 @@ def _check_target(rel: str, f: FinFunc, target):
 def least_threshold(rel: str, f: FinFunc, target) -> ThresholdReport:
     """Least k in [0, N] with the pointwise property on all of [k, N).
 
-    The failure set of tail starts is downward closed, so scanning back
-    from the horizon until the first failing position gives the minimum.
+    The failure set of tail starts is downward closed, so one past the
+    last failing position gives the minimum.
     """
     if rel not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}, got {rel!r}")
     _check_target(rel, f, target)
     n = f.horizon
-    k = n
-    for l in range(n - 1, -1, -1):
-        if _pointwise(rel, f, target, l):
-            k = l
-        else:
-            break
+    holds = [False, *_POINTWISE[rel](f, target)]  # a sentinel failure at -1
+    holds.reverse()
+    k = n - holds.index(False)  # one past the last failing position
     return ThresholdReport(threshold=k, vacuous=(k == n))
 
 
@@ -283,7 +314,7 @@ def hit_count(rel: str, f: FinFunc, target) -> int:
     if rel not in HIT_RELATIONS:
         raise ValueError(f"hit relation must be one of {HIT_RELATIONS}, got {rel!r}")
     _check_target(rel, f, target)
-    return sum(1 for l in range(f.horizon) if _pointwise(rel, f, target, l))
+    return sum(_POINTWISE[rel](f, target))
 
 
 def family_report(rel: str, witness, family: Family, mode: str) -> RelationReport:

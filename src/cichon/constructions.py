@@ -8,6 +8,7 @@ functions before weaving.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .combinatorics import (
@@ -32,6 +33,13 @@ def _max0(values) -> int:
     return max(values, default=0)
 
 
+def _columns(family: Family):
+    """The family column-major: per position n, the tuple (f(n) for f in family)."""
+    if not family.functions:
+        return [()] * family.horizon
+    return zip(*(f.values for f in family))
+
+
 # ---------------------------------------------------------------------------
 # Pointwise witnesses from a slalom or a family
 
@@ -48,12 +56,7 @@ def sum_evader_bound(sigma: Slalom) -> FinFunc:
 
 def family_dominator(family: Family) -> FinFunc:
     """d(n) = 1 + max over members; capture threshold 0 for every member."""
-    return FinFunc(
-        tuple(
-            1 + _max0(f[n] for f in family)
-            for n in range(family.horizon)
-        )
-    )
+    return FinFunc(tuple(1 + _max0(column) for column in _columns(family)))
 
 
 def least_avoider(family: Family) -> FinFunc:
@@ -62,14 +65,12 @@ def least_avoider(family: Family) -> FinFunc:
     Differs from every member at every position while staying bounded by
     the family size, the bounded eventually-different witness.
     """
-    out = []
-    for n in range(family.horizon):
-        taken = {f[n] for f in family}
-        v = 0
-        while v in taken:
-            v += 1
-        out.append(v)
-    return FinFunc(tuple(out))
+    return FinFunc(
+        tuple(
+            next(itertools.filterfalse(set(column).__contains__, itertools.count()))
+            for column in _columns(family)
+        )
+    )
 
 
 def round_robin_ioe(family: Family) -> FinFunc:
@@ -96,10 +97,7 @@ def family_slalom(family: Family) -> tuple[Slalom, tuple[int, ...]]:
     cells(n) = {f_i(n) : i < min(n, |F|)}; returns the slalom together
     with each member's actual least capture threshold.
     """
-    cells = tuple(
-        frozenset(family.functions[i][n] for i in range(min(n, len(family))))
-        for n in range(family.horizon)
-    )
+    cells = tuple(frozenset(column[:n]) for n, column in enumerate(_columns(family)))
     sigma = Slalom(cells, WidthProfile.identity(family.horizon))
     thresholds = tuple(
         least_threshold("in", f, sigma).threshold for f in family

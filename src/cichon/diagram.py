@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .combinatorics import _check_shape
+from .combinatorics import _check_shape, dump_json
 from .errors import UnknownForcing
 
 NODES = ("Empty", "BIn", "BLeq", "BNeq", "DNeq", "DLeq", "DIn", "AllNew")
@@ -345,7 +345,7 @@ def compose_profiles(names: list[str]) -> DiagramState:
 
 
 def emit_json(state: DiagramState) -> str:
-    return json.dumps(state.to_obj(), indent=2, sort_keys=True)
+    return dump_json(state.to_obj())
 
 
 def parse_state(text: str) -> DiagramState:

@@ -2,14 +2,19 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cichon
 from cichon import ProductCond, errors
 from cichon.cli import run
+from cichon.combinatorics import MAX_NATURAL
 from cichon.posets import POSET_KINDS, condition_to_obj
 from conftest import make_laver, make_sacks, prune_tree
 from test_posets import last_level
@@ -400,6 +405,68 @@ def test_unknown_verb_rejected():
 def test_unknown_flag_rejected():
     code, _, _ = invoke(["cuts", "--nope"])
     assert code == 2
+
+
+def test_usage_goes_to_the_given_streams(capsys):
+    code, out, err = invoke(["check"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: cichon check")
+    code, out, err = invoke(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: cichon")
+    assert capsys.readouterr() == ("", "")
+
+
+# The same calls in processes with different string hashes.
+HASH_SEED_CALLS = [
+    ["construct", "--kind", "evdiff", "--family", "{f}"],
+    ["construct", "--kind", "slalom", "--family", "{f}"],
+    ["cuts"],
+    ["diagram", "--format", "json"],
+    ["diagram", "--forcing", "hechler", "--format", "json"],
+    ["kb", "--list"],
+]
+RUN_CALLS = """
+import io, json, sys
+from cichon.cli import run
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    print(run(argv, out, out), out.getvalue())
+"""
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    fam = write(tmp_path, "fam.json", {"horizon": 4, "functions": [[3, 1, 4, 1], [5, 9, 2, 6]]})
+    calls = json.dumps([[a.format(f=fam) for a in argv] for argv in HASH_SEED_CALLS])
+    src = os.path.dirname(os.path.dirname(cichon.__file__))
+    outputs = []
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_CALLS, calls],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n0 ") == len(HASH_SEED_CALLS) - 1
+
+
+def test_results_stay_printable(tmp_path):
+    """Every natural, read or computed, stays below MAX_NATURAL, so every
+    result prints: the dominator (a value + 1) and the evader (a cell sum + 1)
+    exit 2 once they would reach it, as does a 4,300-digit value, which
+    decodes but whose successor Python will not print."""
+    for value, code in ((MAX_NATURAL - 2, 0), (MAX_NATURAL - 1, 2), (10**4300 - 1, 2)):
+        family = write(tmp_path, "fam.json", {"horizon": 1, "functions": [[value]]})
+        cells = write(tmp_path, "cells.json", {"cells": [[1, value - 1]]})
+        for kind, path in (("dominator", family), ("evader", cells)):
+            got, out, err = invoke(["construct", "--kind", kind, "--family", path])
+            assert got == code
+            if code:
+                assert out == ""
+                assert err.startswith("MalformedInput: ")
+            else:
+                assert json.loads(out)["witness"] == [value + 1]
 
 
 # ---------------------------------------------------------------------------

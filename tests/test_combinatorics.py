@@ -1,6 +1,9 @@
 """Threshold relations: frozen examples, a brute-force oracle, and the
-tail-monotonicity invariants."""
+tail-monotonicity invariants; the naturals check and the JSON emitter
+against their definitions."""
 
+import itertools
+import json
 import math
 
 import pytest
@@ -16,7 +19,8 @@ from cichon import (
     hit_count,
     least_threshold,
 )
-from cichon.errors import HorizonMismatch
+from cichon.combinatorics import MAX_NATURAL, _check_naturals, dump_json
+from cichon.errors import HorizonMismatch, MalformedInput
 
 def _equal_length_pair(n):
     row = st.lists(st.integers(0, 50), min_size=n, max_size=n)
@@ -161,3 +165,94 @@ def test_family_json_round_trip():
     assert Slalom.from_obj(sigma.to_obj()) == sigma
     f = FinFunc((0, 9))
     assert FinFunc.from_obj(f.to_obj()) == f
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sets(st.integers(0, 3))), max_size=12))
+def test_hit_count_matches_per_position_count(rows):
+    f = FinFunc(tuple(v for v, _, _ in rows))
+    g = FinFunc(tuple(w for _, w, _ in rows))
+    sigma = Slalom(
+        tuple(frozenset(cell) for _, _, cell in rows),
+        WidthProfile(tuple(len(cell) for _, _, cell in rows)),
+    )
+    positions = range(len(rows))
+    assert hit_count("eq", f, g) == sum(1 for l in positions if f[l] == g[l])
+    assert hit_count("in", f, sigma) == sum(1 for l in positions if f[l] in sigma[l])
+
+
+# ---------------------------------------------------------------------------
+# The naturals check: its fast path against the per-entry definition
+
+
+class Natural(int):
+    """A natural of an int subclass, not of type int."""
+
+
+INTS = st.integers(-3, 20) | st.sampled_from(
+    [MAX_NATURAL - 1, MAX_NATURAL, MAX_NATURAL + 1, -MAX_NATURAL]
+)
+ENTRIES = st.one_of(
+    INTS,
+    st.booleans(),
+    st.floats(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.builds(Natural, st.integers(-2, 20)),
+    st.none(),
+    st.text(max_size=2),
+)
+ENTRY_LISTS = st.lists(INTS, max_size=6) | st.lists(ENTRIES, max_size=6)
+
+
+def definition_of_naturals(values, what):
+    """The message for the first entry that is not an int in [0, MAX_NATURAL)."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            return f"{what} must be natural numbers, got {v!r}"
+        if v >= MAX_NATURAL:
+            return f"{what} must be below 10**4000, got a {v.bit_length()}-bit value"
+    return None
+
+
+def refusal(check, *args):
+    try:
+        check(*args)
+    except MalformedInput as exc:
+        return str(exc)
+    return None
+
+
+@given(ENTRY_LISTS)
+def test_check_naturals_matches_definition(values):
+    expected = definition_of_naturals(values, "values")
+    assert refusal(_check_naturals, values, "values") == expected
+    assert refusal(_check_naturals, tuple(values), "values") == expected
+    assert refusal(FinFunc, values) == definition_of_naturals(values, "FinFunc values")
+
+
+@given(st.lists(ENTRY_LISTS, max_size=4))
+def test_slalom_names_its_first_bad_member(cells):
+    members = list(itertools.chain.from_iterable(cells))
+    expected = definition_of_naturals(members, "slalom cell members")
+    assert refusal(Slalom.identity_width, cells) == expected
+
+
+# ---------------------------------------------------------------------------
+# The JSON emitter against json.dumps
+
+JSON_LIKE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.integers()
+    | st.integers(-(10**4299), 10**4299)
+    | st.text(),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@given(JSON_LIKE)
+def test_dump_json_matches_json_dumps(obj):
+    assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)

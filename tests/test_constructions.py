@@ -1,6 +1,7 @@
 """Constructive witnesses: frozen examples plus the inclusion analogues
 and the two block-construction laws, checked by brute force."""
 
+import itertools
 import random
 
 import pytest
@@ -152,6 +153,34 @@ def test_family_slalom_width_and_capture(rng):
             assert thresholds[i] <= min(i + 1, fam.horizon)
             for n in range(min(i + 1, fam.horizon), fam.horizon):
                 assert f[n] in sigma[n]
+
+
+def test_family_witnesses_match_definitions(rng):
+    """The column-wise witnesses against their per-position definitions, on
+    the empty family, horizon 0 and random families."""
+    shapes = [(0, 0), (0, 3), (6, 0)] + [
+        (rng.randint(0, 10), rng.randint(0, 5)) for _ in range(200)
+    ]
+    for horizon, count in shapes:
+        fam = make_family(rng, horizon, count, 6)
+        members = fam.functions
+        positions = range(horizon)
+        dominator = tuple(1 + max([f[n] for f in members], default=0) for n in positions)
+        avoider = tuple(
+            next(v for v in itertools.count() if all(f[n] != v for f in members))
+            for n in positions
+        )
+        cells = tuple(
+            frozenset(members[i][n] for i in range(min(n, count))) for n in positions
+        )
+        assert family_dominator(fam).values == dominator
+        assert least_avoider(fam).values == avoider
+        sigma, thresholds = family_slalom(fam)
+        assert sigma.cells == cells
+        assert thresholds == tuple(
+            min(k for k in range(horizon + 1) if all(f[l] in cells[l] for l in range(k, horizon)))
+            for f in members
+        )
 
 
 # ---------------------------------------------------------------------------
