@@ -9,6 +9,7 @@ functions before weaving.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .combinatorics import (
@@ -51,7 +52,7 @@ def slalom_dominator(sigma: Slalom) -> FinFunc:
 
 def sum_evader_bound(sigma: Slalom) -> FinFunc:
     """z(n) = 1 + sum(sigma(n)); any f with f(n) >= z(n) has f(n) outside sigma(n)."""
-    return FinFunc(tuple(1 + sum(cell) for cell in sigma.cells))
+    return FinFunc(tuple(map((1).__add__, map(sum, sigma.cells))))
 
 
 def family_dominator(family: Family) -> FinFunc:
@@ -77,10 +78,8 @@ def round_robin_ioe(family: Family) -> FinFunc:
     """g(n) = f_{n mod |F|}(n); matches each member at >= floor(N/|F|) positions."""
     if len(family) == 0:
         raise EmptyFamily("round robin needs at least one member")
-    members = family.functions
-    return FinFunc(
-        tuple(members[n % len(members)][n] for n in range(family.horizon))
-    )
+    rows = itertools.cycle([f.values for f in family])
+    return FinFunc(tuple(map(operator.getitem, rows, range(family.horizon))))
 
 
 def singleton_slalom(g: FinFunc) -> Slalom:

@@ -157,7 +157,8 @@ def test_family_slalom_width_and_capture(rng):
 
 def test_family_witnesses_match_definitions(rng):
     """The column-wise witnesses against their per-position definitions, on
-    the empty family, horizon 0 and random families."""
+    the empty family, horizon 0 and random families (round robin needs a
+    member)."""
     shapes = [(0, 0), (0, 3), (6, 0)] + [
         (rng.randint(0, 10), rng.randint(0, 5)) for _ in range(200)
     ]
@@ -181,6 +182,10 @@ def test_family_witnesses_match_definitions(rng):
             min(k for k in range(horizon + 1) if all(f[l] in cells[l] for l in range(k, horizon)))
             for f in members
         )
+        assert sum_evader_bound(sigma).values == tuple(1 + sum(cells[n]) for n in positions)
+        if count:
+            robin = tuple(members[n % count][n] for n in positions)
+            assert round_robin_ioe(fam).values == robin
 
 
 # ---------------------------------------------------------------------------
