@@ -11,7 +11,6 @@ text.  Outputs are byte-identical across runs on identical inputs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import random
 import sys
@@ -266,11 +265,14 @@ def run(argv, stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     # argparse writes --help to sys.stdout and usage errors to sys.stderr
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+    streams = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    finally:
+        sys.stdout, sys.stderr = streams
     try:
         return _COMMANDS[args.verb](args, out)
     except (CichonError, OSError) as exc:

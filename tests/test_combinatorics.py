@@ -7,7 +7,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cichon import (
@@ -200,7 +200,15 @@ ENTRIES = st.one_of(
     st.none(),
     st.text(max_size=2),
 )
-ENTRY_LISTS = st.lists(INTS, max_size=6) | st.lists(ENTRIES, max_size=6)
+# Past 16 entries an all-int sequence takes the fast path: plant one entry
+# of any kind among 17 or more naturals.
+PLANTED = st.builds(
+    lambda naturals, entry, at: naturals[:at] + [entry] + naturals[at:],
+    st.lists(st.integers(0, 20), min_size=17, max_size=30),
+    ENTRIES,
+    st.integers(0, 30),
+)
+ENTRY_LISTS = st.lists(ENTRIES, max_size=6) | st.lists(INTS, max_size=30) | PLANTED
 
 
 def definition_of_naturals(values, what):
@@ -221,6 +229,10 @@ def refusal(check, *args):
     return None
 
 
+@example([0] * 20 + [-1])
+@example([0] * 20 + [MAX_NATURAL])
+@example([0] * 20 + [True])
+@example([0] * 20 + [Natural(1)])
 @given(ENTRY_LISTS)
 def test_check_naturals_matches_definition(values):
     expected = definition_of_naturals(values, "values")
