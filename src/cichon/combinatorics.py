@@ -39,15 +39,15 @@ def _check_naturals(values, what):
     A long all-int sequence passes in three C-level scans; the loop, faster
     on a few entries, decides the rest and names the first offender.
     """
-    if len(values) > 16 and (
-        set(map(type, values)) <= {int} and min(values) >= 0 and max(values) < MAX_NATURAL
-    ):
+    long_ints = len(values) > 16 and set(map(type, values)) <= {int}
+    if long_ints and min(values) >= 0 and max(values) < MAX_NATURAL:
         return
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise MalformedInput(f"{what} must be natural numbers, got {v!r}")
         if v >= MAX_NATURAL:
-            raise MalformedInput(f"{what} must be below 10**4000, got a {v.bit_length()}-bit value")
+            bits = v.bit_length()
+            raise MalformedInput(f"{what} must be below 10**4000, got a {bits}-bit value")
 
 
 def dump_json(obj, indent: str = "") -> str:

@@ -167,7 +167,8 @@ def test_family_json_round_trip():
     assert FinFunc.from_obj(f.to_obj()) == f
 
 
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sets(st.integers(0, 3))), max_size=12))
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sets(st.integers(0, 3))),
+                max_size=12))
 def test_hit_count_matches_per_position_count(rows):
     f = FinFunc(tuple(v for v, _, _ in rows))
     g = FinFunc(tuple(w for _, w, _ in rows))
@@ -232,6 +233,7 @@ def refusal(check, *args):
 @example([0] * 20 + [-1])
 @example([0] * 20 + [MAX_NATURAL])
 @example([0] * 20 + [True])
+@example([0] * 20 + [1.5])
 @example([0] * 20 + [Natural(1)])
 @given(ENTRY_LISTS)
 def test_check_naturals_matches_definition(values):
