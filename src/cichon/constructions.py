@@ -52,7 +52,7 @@ def slalom_dominator(sigma: Slalom) -> FinFunc:
 
 def sum_evader_bound(sigma: Slalom) -> FinFunc:
     """z(n) = 1 + sum(sigma(n)); any f with f(n) >= z(n) has f(n) outside sigma(n)."""
-    return FinFunc(tuple(map((1).__add__, map(sum, sigma.cells))))
+    return FinFunc(tuple(1 + sum(cell) for cell in sigma.cells))
 
 
 def family_dominator(family: Family) -> FinFunc:
