@@ -11,6 +11,7 @@ text.  Outputs are byte-identical across runs on identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -51,6 +52,7 @@ def _natural(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cichon",
@@ -263,12 +265,11 @@ _COMMANDS = {
 def run(argv, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     # argparse writes --help to sys.stdout and usage errors to sys.stderr
     streams = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = out, err
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     finally:

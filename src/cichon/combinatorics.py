@@ -166,13 +166,6 @@ class Slalom:
     def __getitem__(self, n: int) -> frozenset[int]:
         return self.cells[n]
 
-    def width_violations(self) -> list[str]:
-        return [
-            f"|cells({n})| <= width({n}) fails: {len(c)} > {self.width[n]}"
-            for n, c in enumerate(self.cells)
-            if len(c) > self.width[n]
-        ]
-
     @classmethod
     def identity_width(cls, cells) -> "Slalom":
         cells = tuple(cells)

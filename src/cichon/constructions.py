@@ -147,14 +147,6 @@ class BlockPartition:
             "cells": [[sorted(c) for c in block] for block in self.cells],
         }
 
-    @classmethod
-    def from_obj(cls, obj) -> "BlockPartition":
-        _check_shape(obj, dict, "block partition", ("width", "cells"))
-        cells = tuple(tuple(frozenset(c) for c in block) for block in obj["cells"])
-        width = WidthProfile(tuple(obj["width"]))
-        covered = sum(len(c) for block in cells for c in block)
-        return cls(cells, width, covered)
-
 
 @dataclass(frozen=True)
 class BlockFunc:

@@ -12,6 +12,7 @@ are asserted, left open, or refuted.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -264,27 +265,22 @@ def enumerate_cuts() -> list[Cut]:
 # Knowledge base
 
 
-_KB_CACHE: dict | None = None
-
-
+@functools.cache
 def _load_kb() -> dict:
-    global _KB_CACHE
-    if _KB_CACHE is None:
-        text = resources.files("cichon").joinpath("data/kb.json").read_text()
-        raw = json.loads(text)
-        profiles = {}
-        for name, entry in raw["profiles"].items():
-            state = DiagramState.from_obj(entry)
-            _check_profile(name, state)
-            profiles[name] = ForcingProfile(name, state)
-        products = {}
-        for entry in raw.get("products", []):
-            key = tuple(sorted(entry["factors"]))
-            state = DiagramState.from_obj(entry["profile"])
-            _check_profile("*".join(key), state)
-            products[key] = ForcingProfile("*".join(key), state)
-        _KB_CACHE = {"profiles": profiles, "products": products}
-    return _KB_CACHE
+    text = resources.files("cichon").joinpath("data/kb.json").read_text()
+    raw = json.loads(text)
+    profiles = {}
+    for name, entry in raw["profiles"].items():
+        state = DiagramState.from_obj(entry)
+        _check_profile(name, state)
+        profiles[name] = ForcingProfile(name, state)
+    products = {}
+    for entry in raw.get("products", []):
+        key = tuple(sorted(entry["factors"]))
+        state = DiagramState.from_obj(entry["profile"])
+        _check_profile("*".join(key), state)
+        products[key] = ForcingProfile("*".join(key), state)
+    return {"profiles": profiles, "products": products}
 
 
 def _check_profile(name: str, state: DiagramState):

@@ -417,6 +417,40 @@ def test_usage_goes_to_the_given_streams(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_parser_reuse_leaks_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    """`run` builds its parser once per process; no call sees another's
+    options, terminal width or streams."""
+    draw = ["construct", "--kind", "random-family", "--horizon", "3", "--seed", "5"]
+    code, out, _ = invoke(draw + ["--count", "2"])
+    assert (code, len(json.loads(out)["functions"])) == (0, 2)
+    assert invoke(["kb", "--list"])[0] == 0
+    code, out, _ = invoke(draw)
+    assert (code, len(json.loads(out)["functions"])) == (0, 4)
+
+    a = write(tmp_path, "a.json", {"kind": "sacks", "nodes": [[], [0], [1]]})
+    fusion = ["poset", "--kind", "sacks", "--op", "fusion", "--a", a, "--b", a]
+    assert invoke(fusion + ["--n", "3"])[0] == 0
+    code, out, err = invoke(fusion)
+    assert (code, out) == (2, "")
+    assert err.startswith("MalformedInput: ")
+
+    def widest_help_line(columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = invoke(["--help"])
+        assert code == 0
+        return max(map(len, out.splitlines()))
+
+    narrow, wide, narrow_again = (widest_help_line(c) for c in ("40", "200", "40"))
+    assert narrow < wide
+    assert narrow == narrow_again
+
+    for _ in range(3):
+        code, out, err = invoke(["check", "--relation", "leq"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: cichon check")
+    assert capsys.readouterr() == ("", "")
+
+
 # The same calls in processes with different string hashes.
 HASH_SEED_CALLS = [
     ["construct", "--kind", "evdiff", "--family", "{f}"],
@@ -525,12 +559,11 @@ def test_malformed_input_names_clause(tmp_path, case):
          "--b", "b.json", "--n", "-1"],
     ],
 )
-def test_negative_and_zero_arguments_rejected(capsys, argv):
+def test_negative_and_zero_arguments_rejected(argv):
     code, out, err = invoke(argv)
     assert code == 2
     assert out == ""
-    # argparse writes its usage text to the process's stderr
-    assert (err or capsys.readouterr().err).startswith(("usage:", "MalformedInput: "))
+    assert err.startswith(("usage:", "MalformedInput: "))
 
 
 def test_resource_bounds(tmp_path):
