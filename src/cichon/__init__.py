@@ -13,10 +13,8 @@ from .combinatorics import (
 )
 from .constructions import (
     BitstringFunc,
-    BlockFunc,
     BlockPartition,
     BlockSlalom,
-    StringEnumeration,
     avoider_witness,
     block_encode,
     block_partition,
@@ -24,11 +22,14 @@ from .constructions import (
     evasion_target,
     family_dominator,
     family_slalom,
+    index_of,
     least_avoider,
+    length_range,
     round_robin_ioe,
     singleton_slalom,
     slalom_dominator,
     string_encode,
+    string_of,
     sum_evader_bound,
     weave,
 )
@@ -36,9 +37,7 @@ from .diagram import (
     Contradiction,
     Cut,
     DiagramState,
-    ForcingProfile,
     compose_profiles,
-    diagram_spec,
     emit_dot,
     emit_json,
     enumerate_cuts,

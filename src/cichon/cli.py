@@ -101,8 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_diagram(args, out) -> int:
     if args.forcing:
-        profile = dia.kb_lookup(args.forcing)
-        state = profile.state
+        state = dia.kb_lookup(args.forcing)
     else:
         state = dia.DiagramState(emptiness={})
     if args.format == "json":
@@ -239,14 +238,12 @@ def _cmd_project(args, out) -> int:
 
 
 def _cmd_kb(args, out) -> int:
-    entries = [
-        {
-            "name": profile.name,
-            "citation": profile.citation,
-            "nonempty": sorted(profile.state.nonempty_set(), key=dia.NODE_RANK.get),
-        }
-        for profile in dia.kb_profiles()
-    ]
+    entries = []
+    for name in dia.kb_names():
+        state = dia.kb_lookup(name)
+        nonempty = sorted(state.nonempty_set(), key=dia.NODE_RANK.get)
+        citation = state.citation or ""
+        entries.append({"name": name, "citation": citation, "nonempty": nonempty})
     print(_dump(entries), file=out)
     return 0
 

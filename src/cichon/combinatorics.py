@@ -281,9 +281,9 @@ _POINTWISE = {
 def _check_target(rel: str, f: FinFunc, target):
     wants_slalom = rel == "in"
     if wants_slalom and not isinstance(target, Slalom):
-        raise ValueError("relation 'in' needs a Slalom target")
+        raise MalformedInput("relation 'in' needs a Slalom target")
     if not wants_slalom and not isinstance(target, FinFunc):
-        raise ValueError(f"relation {rel!r} needs a FinFunc target")
+        raise MalformedInput(f"relation {rel!r} needs a FinFunc target")
     if f.horizon != target.horizon:
         raise HorizonMismatch(
             f"horizon {f.horizon} vs {target.horizon} for relation {rel!r}"
@@ -297,7 +297,7 @@ def least_threshold(rel: str, f: FinFunc, target) -> ThresholdReport:
     last failing position gives the minimum.
     """
     if rel not in RELATIONS:
-        raise ValueError(f"relation must be one of {RELATIONS}, got {rel!r}")
+        raise MalformedInput(f"relation must be one of {RELATIONS}, got {rel!r}")
     _check_target(rel, f, target)
     n = f.horizon
     holds = [False, *_POINTWISE[rel](f, target)]  # a sentinel failure at -1
@@ -309,7 +309,7 @@ def least_threshold(rel: str, f: FinFunc, target) -> ThresholdReport:
 def hit_count(rel: str, f: FinFunc, target) -> int:
     """Number of positions l < N where f agrees with the target."""
     if rel not in HIT_RELATIONS:
-        raise ValueError(f"hit relation must be one of {HIT_RELATIONS}, got {rel!r}")
+        raise MalformedInput(f"hit relation must be one of {HIT_RELATIONS}, got {rel!r}")
     _check_target(rel, f, target)
     return sum(_POINTWISE[rel](f, target))
 
@@ -322,13 +322,13 @@ def family_report(rel: str, witness, family: Family, mode: str) -> RelationRepor
     against the member.  Claims over the empty family hold vacuously.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise MalformedInput(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "bounding":
         reports = tuple(least_threshold(rel, member, witness) for member in family)
         max_threshold = max((r.threshold for r in reports), default=0)
         return RelationReport(rel, mode, reports, None, max_threshold, math.inf)
     if rel not in HIT_RELATIONS:
-        raise ValueError(f"evading mode needs relation in {HIT_RELATIONS}, got {rel!r}")
+        raise MalformedInput(f"evading mode needs relation in {HIT_RELATIONS}, got {rel!r}")
     if rel == "in":
         hits = tuple(hit_count("in", member, witness) for member in family)
     else:

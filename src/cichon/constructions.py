@@ -1,9 +1,9 @@
 """Constructive witnesses: dominators, weavers, avoiders, and encoders.
 
 Conventions used throughout (stated once): max of the empty set is 0 and
-the empty sum is 0, so every construction is total.  Block slaloms with
-fewer than h(n) members at a block are padded with constantly-0 partial
-functions before weaving.
+the empty sum is 0, so every construction is total.  A block slalom with
+fewer than h(n) members at a block weaves as if padded with constantly-0
+partial functions.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .combinatorics import (
     FinFunc,
     Slalom,
     WidthProfile,
-    _check_shape,
     least_threshold,
 )
 from .errors import (
@@ -28,10 +27,6 @@ from .errors import (
     ShapeMismatch,
     ZeroWidth,
 )
-
-
-def _max0(values) -> int:
-    return max(values, default=0)
 
 
 def _columns(family: Family):
@@ -47,7 +42,7 @@ def _columns(family: Family):
 
 def slalom_dominator(sigma: Slalom) -> FinFunc:
     """z(n) = max(sigma(n)) + 1; dominates anything the slalom captures."""
-    return FinFunc(tuple(_max0(cell) + 1 for cell in sigma.cells))
+    return FinFunc(tuple(max(cell, default=0) + 1 for cell in sigma.cells))
 
 
 def sum_evader_bound(sigma: Slalom) -> FinFunc:
@@ -57,7 +52,7 @@ def sum_evader_bound(sigma: Slalom) -> FinFunc:
 
 def family_dominator(family: Family) -> FinFunc:
     """d(n) = 1 + max over members; capture threshold 0 for every member."""
-    return FinFunc(tuple(1 + _max0(column) for column in _columns(family)))
+    return FinFunc(tuple(1 + max(column, default=0) for column in _columns(family)))
 
 
 def least_avoider(family: Family) -> FinFunc:
@@ -141,22 +136,6 @@ class BlockPartition:
             out.append("cells do not cover [0, covered_horizon)")
         return out
 
-    def to_obj(self):
-        return {
-            "width": list(self.width.widths[: self.block_count]),
-            "cells": [[sorted(c) for c in block] for block in self.cells],
-        }
-
-
-@dataclass(frozen=True)
-class BlockFunc:
-    """Per-block restrictions of a function: entry n maps J_n to values."""
-
-    entries: tuple[dict[int, int], ...]
-
-    def __getitem__(self, n: int) -> dict[int, int]:
-        return self.entries[n]
-
 
 @dataclass(frozen=True)
 class BlockSlalom:
@@ -174,11 +153,11 @@ def block_partition(width: WidthProfile, block_count: int, cell_size: int = 1) -
     positions each.  Singleton cells (the default) are the canonical choice;
     cell_size > 1 gives interval cells."""
     if block_count > width.horizon:
-        raise ValueError(
+        raise MalformedInput(
             f"width profile covers {width.horizon} blocks, {block_count} requested"
         )
     if cell_size < 1:
-        raise ValueError("cell_size must be >= 1")
+        raise MalformedInput("cell_size must be >= 1")
     for n in range(block_count):
         if width[n] == 0:
             raise ZeroWidth(f"h({n}) = 0; blocks need width >= 1")
@@ -193,33 +172,24 @@ def block_partition(width: WidthProfile, block_count: int, cell_size: int = 1) -
     return BlockPartition(tuple(cells), width, pos)
 
 
-def block_encode(f: FinFunc, partition: BlockPartition) -> BlockFunc:
-    """entry(n) = f restricted to J_n."""
+def block_encode(f: FinFunc, partition: BlockPartition) -> tuple[dict[int, int], ...]:
+    """Per block n, f restricted to J_n."""
     if f.horizon < partition.covered_horizon:
         raise HorizonTooShort(
             f"horizon {f.horizon} < covered horizon {partition.covered_horizon}"
         )
-    return BlockFunc(
-        tuple(
-            {x: f[x] for x in sorted(partition.block(n))}
-            for n in range(partition.block_count)
-        )
+    return tuple(
+        {x: f[x] for x in sorted(partition.block(n))}
+        for n in range(partition.block_count)
     )
-
-
-def _padded_entry(entry, block_positions, h_n):
-    """Pad a block entry up to h_n members with constantly-0 partial functions."""
-    zero = {x: 0 for x in block_positions}
-    padded = list(entry) + [dict(zero) for _ in range(h_n - len(entry))]
-    return padded
 
 
 def weave(block_slalom: BlockSlalom, partition: BlockPartition) -> FinFunc:
     """Glue g(x) = w^n_k(x) for x in J_{n,k} into a single function.
 
-    The k-th member of each (padded) block entry supplies the values on
-    the block's k-th cell; disjoint covering makes g total on
-    [0, covered_horizon).
+    The k-th member of each block entry supplies the values on the
+    block's k-th cell, and a cell past the entry's last member stays 0;
+    disjoint covering makes g total on [0, covered_horizon).
     """
     if block_slalom.width.widths[: partition.block_count] != partition.width.widths[: partition.block_count]:
         raise ShapeMismatch("block slalom and partition disagree on widths")
@@ -233,75 +203,66 @@ def weave(block_slalom: BlockSlalom, partition: BlockPartition) -> FinFunc:
         h_n = partition.width[n]
         if len(entry) > h_n:
             raise ShapeMismatch(f"block {n} has {len(entry)} members, width is {h_n}")
-        block_positions = sorted(partition.block(n))
+        block = partition.block(n)
         for w in entry:
-            if set(w) != set(block_positions):
+            if set(w) != block:
                 raise ShapeMismatch(f"block {n} member domain is not J_{n}")
-        padded = _padded_entry(entry, block_positions, h_n)
-        for k, cell in enumerate(partition.cells[n]):
-            w = padded[k]
+        for w, cell in zip(entry, partition.cells[n]):
             for x in cell:
                 out[x] = w[x]
     return FinFunc(tuple(out))
 
 
-def columns_slalom(sigma: Slalom, width: WidthProfile, partition: BlockPartition) -> BlockSlalom:
+def columns_slalom(sigma: Slalom, partition: BlockPartition) -> BlockSlalom:
     """w^n_k(l) = k-th greatest member of sigma(l) (1-indexed), 0 if absent."""
     if sigma.horizon < partition.covered_horizon:
         raise HorizonTooShort(
             f"slalom horizon {sigma.horizon} < covered horizon {partition.covered_horizon}"
         )
-    if width.widths[: partition.block_count] != partition.width.widths[: partition.block_count]:
-        raise ShapeMismatch("width profile does not match the partition")
     entries = []
     for n in range(partition.block_count):
         block_positions = sorted(partition.block(n))
         members = []
-        for k in range(1, width[n] + 1):
+        for k in range(1, partition.width[n] + 1):
             w = {}
             for l in block_positions:
                 ranked = sorted(sigma[l], reverse=True)
                 w[l] = ranked[k - 1] if len(ranked) >= k else 0
             members.append(w)
         entries.append(tuple(members))
-    return BlockSlalom(tuple(entries), width)
+    return BlockSlalom(tuple(entries), partition.width)
 
 
-def avoider_witness(sigma: Slalom, width: WidthProfile, partition: BlockPartition) -> FinFunc:
+def avoider_witness(sigma: Slalom, partition: BlockPartition) -> FinFunc:
     """Weave the rank columns: for x in J_{n,k}, g(x) is the k-th greatest
     member of sigma(x) (0 if sigma(x) has fewer than k members)."""
-    return weave(columns_slalom(sigma, width, partition), partition)
+    return weave(columns_slalom(sigma, partition), partition)
 
 
 # ---------------------------------------------------------------------------
-# Binary-string enumeration and the evasion construction
+# Binary-string enumeration and the evasion construction.  Strings are
+# enumerated length-then-lexicographically: the length-n strings occupy the
+# index interval [2^n - 1, 2^(n+1) - 1), and index_of and string_of are
+# mutually inverse.
 
 
-class StringEnumeration:
-    """Length-then-lexicographic enumeration of finite binary strings.
+def index_of(bits: str) -> int:
+    n = len(bits)
+    offset = int(bits, 2) if n else 0
+    return (1 << n) - 1 + offset
 
-    Strings of length n occupy the index interval [2^n - 1, 2^(n+1) - 1);
-    index_of and string_of are mutually inverse.
-    """
 
-    @staticmethod
-    def index_of(bits: str) -> int:
-        n = len(bits)
-        offset = int(bits, 2) if n else 0
-        return (1 << n) - 1 + offset
+def string_of(index: int) -> str:
+    if index < 0:
+        raise MalformedInput("index must be a natural number")
+    n = (index + 1).bit_length() - 1
+    offset = index - ((1 << n) - 1)
+    return format(offset, "b").zfill(n) if n else ""
 
-    @staticmethod
-    def string_of(index: int) -> str:
-        if index < 0:
-            raise ValueError("index must be a natural number")
-        n = (index + 1).bit_length() - 1
-        offset = index - ((1 << n) - 1)
-        return format(offset, "b").zfill(n) if n else ""
 
-    @staticmethod
-    def length_range(n: int) -> range:
-        """Indices of the length-n strings."""
-        return range((1 << n) - 1, (1 << (n + 1)) - 1)
+def length_range(n: int) -> range:
+    """Indices of the length-n strings."""
+    return range((1 << n) - 1, (1 << (n + 1)) - 1)
 
 
 @dataclass(frozen=True)
@@ -322,32 +283,22 @@ class BitstringFunc:
     def __getitem__(self, n: int) -> str:
         return self.values[n]
 
-    def to_obj(self):
-        return [{"bits": v} for v in self.values]
 
-    @classmethod
-    def from_obj(cls, obj) -> "BitstringFunc":
-        entries = _check_shape(obj, list, "bitstring function", items=dict)
-        return cls(tuple(entry.get("bits") for entry in entries))
-
-
-def string_encode(g: BitstringFunc, enum: StringEnumeration | None = None) -> FinFunc:
+def string_encode(g: BitstringFunc) -> FinFunc:
     """Replace each string by its enumeration index."""
-    enum = enum or StringEnumeration()
-    return FinFunc(tuple(enum.index_of(v) for v in g.values))
+    return FinFunc(tuple(map(index_of, g.values)))
 
 
-def evasion_target(sigma: Slalom, enum: StringEnumeration | None = None) -> BitstringFunc:
+def evasion_target(sigma: Slalom) -> BitstringFunc:
     """At each n, the first length-n string whose index escapes sigma(n).
 
     Encoding the result back through the enumeration lands outside the
     slalom at every position, by choice of index.
     """
-    enum = enum or StringEnumeration()
     values = []
     for n in range(sigma.horizon):
         chosen = None
-        for k in enum.length_range(n):
+        for k in length_range(n):
             if k not in sigma[n]:
                 chosen = k
                 break
@@ -355,5 +306,5 @@ def evasion_target(sigma: Slalom, enum: StringEnumeration | None = None) -> Bits
             raise NoAdmissibleString(
                 f"sigma({n}) excludes every length-{n} string index"
             )
-        values.append(enum.string_of(chosen))
+        values.append(string_of(chosen))
     return BitstringFunc(tuple(values))

@@ -12,13 +12,14 @@ are asserted, left open, or refuted.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
 
 from .combinatorics import _check_shape, dump_json
-from .errors import UnknownForcing
+from .errors import MalformedInput, UnknownForcing
 
 NODES = ("Empty", "BIn", "BLeq", "BNeq", "DNeq", "DLeq", "DIn", "AllNew")
 REGION_NODES = NODES[1:]
@@ -37,11 +38,6 @@ EDGES = (
 
 EMPTINESS = ("empty", "nonempty", "unknown")
 SEPARATORS = ("distinct", "unknown")
-
-
-def diagram_spec() -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    """The node list and directed edge list of the inclusion diagram."""
-    return NODES, EDGES
 
 
 def _successors() -> dict[str, tuple[str, ...]]:
@@ -83,11 +79,9 @@ class Cut:
     nonempty: frozenset[str]
     realized_by: str | None = None
 
-    def sorted_nodes(self) -> list[str]:
-        return sorted(self.nonempty, key=NODE_RANK.get)
-
     def to_obj(self):
-        return {"nonempty": self.sorted_nodes(), "realized_by": self.realized_by}
+        nonempty = sorted(self.nonempty, key=NODE_RANK.get)
+        return {"nonempty": nonempty, "realized_by": self.realized_by}
 
 
 @dataclass(frozen=True)
@@ -121,24 +115,24 @@ class DiagramState:
         object.__setattr__(self, "emptiness", emptiness)
         for node, value in emptiness.items():
             if node not in NODES:
-                raise ValueError(f"unknown diagram node {node!r}")
+                raise MalformedInput(f"unknown diagram node {node!r}")
             if value not in EMPTINESS:
-                raise ValueError(f"unknown emptiness value {value!r}")
+                raise MalformedInput(f"unknown emptiness value {value!r}")
         if self.classes is not None:
             classes = tuple(tuple(cls) for cls in self.classes)
             object.__setattr__(self, "classes", classes)
             seen = [node for cls in classes for node in cls]
             if sorted(seen) != sorted(REGION_NODES):
-                raise ValueError("classes must partition the seven region nodes")
+                raise MalformedInput("classes must partition the seven region nodes")
             separators = self.separators
             if separators is None:
                 separators = tuple("distinct" for _ in range(len(classes) - 1))
             else:
                 separators = tuple(separators)
             if len(separators) != max(len(classes) - 1, 0):
-                raise ValueError("need one separator between consecutive classes")
+                raise MalformedInput("need one separator between consecutive classes")
             if any(sep not in SEPARATORS for sep in separators):
-                raise ValueError(f"separators must be in {SEPARATORS}")
+                raise MalformedInput(f"separators must be in {SEPARATORS}")
             object.__setattr__(self, "separators", separators)
 
     def nonempty_set(self) -> frozenset[str]:
@@ -169,27 +163,12 @@ class DiagramState:
     @classmethod
     def from_obj(cls, obj) -> "DiagramState":
         _check_shape(obj, dict, "diagram state", ("emptiness",))
-        classes = obj.get("classes")
         return cls(
             emptiness=dict(_check_shape(obj["emptiness"], dict, "diagram emptiness")),
-            classes=None if classes is None else tuple(tuple(c) for c in classes),
-            separators=None
-            if obj.get("separators") is None
-            else tuple(obj["separators"]),
+            classes=obj.get("classes"),
+            separators=obj.get("separators"),
             citation=obj.get("citation"),
         )
-
-
-@dataclass(frozen=True)
-class ForcingProfile:
-    """A knowledge-base entry: a named diagram state with its citation."""
-
-    name: str
-    state: DiagramState
-
-    @property
-    def citation(self) -> str:
-        return self.state.citation or ""
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +211,7 @@ def propagate(state: DiagramState) -> DiagramState | Contradiction:
                     if values[other] == "nonempty":
                         return Contradiction(other, _shortest_path(other, node))
                     values[other] = "empty"
-    return DiagramState(
-        emptiness=values,
-        classes=state.classes,
-        separators=state.separators,
-        citation=state.citation,
-    )
+    return dataclasses.replace(state, emptiness=values)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +221,7 @@ def propagate(state: DiagramState) -> DiagramState | Contradiction:
 def enumerate_cuts() -> list[Cut]:
     """All upward-closed subsets of the seven region nodes, each paired
     with its realizing forcing, in (size, node order) order."""
-    realizers = {
-        profile.state.nonempty_set(): profile.name for profile in kb_profiles()
-    }
+    realizers = {kb_lookup(name).nonempty_set(): name for name in kb_names()}
     cuts = []
     for mask in range(1 << len(REGION_NODES)):
         subset = frozenset(
@@ -273,38 +245,34 @@ def _load_kb() -> dict:
     for name, entry in raw["profiles"].items():
         state = DiagramState.from_obj(entry)
         _check_profile(name, state)
-        profiles[name] = ForcingProfile(name, state)
+        profiles[name] = state
     products = {}
     for entry in raw.get("products", []):
         key = tuple(sorted(entry["factors"]))
         state = DiagramState.from_obj(entry["profile"])
         _check_profile("*".join(key), state)
-        products[key] = ForcingProfile("*".join(key), state)
+        products[key] = state
     return {"profiles": profiles, "products": products}
 
 
 def _check_profile(name: str, state: DiagramState):
     if not is_upward_closed(state.nonempty_set()):
-        raise ValueError(f"profile {name}: nonempty set is not upward closed")
+        raise MalformedInput(f"profile {name}: nonempty set is not upward closed")
     closed = propagate(state)
     if isinstance(closed, Contradiction):
-        raise ValueError(f"profile {name}: contradiction {closed}")
+        raise MalformedInput(f"profile {name}: contradiction {closed}")
     if closed.emptiness != state.emptiness:
-        raise ValueError(f"profile {name}: not a propagation fixpoint")
+        raise MalformedInput(f"profile {name}: not a propagation fixpoint")
     violations = state.class_violations()
     if violations:
-        raise ValueError(f"profile {name}: {violations}")
+        raise MalformedInput(f"profile {name}: {violations}")
 
 
 def kb_names() -> list[str]:
     return sorted(_load_kb()["profiles"])
 
 
-def kb_profiles() -> list[ForcingProfile]:
-    return [_load_kb()["profiles"][name] for name in kb_names()]
-
-
-def kb_lookup(name: str) -> ForcingProfile:
+def kb_lookup(name: str) -> DiagramState:
     profiles = _load_kb()["profiles"]
     if name not in profiles:
         raise UnknownForcing(f"no knowledge-base entry for {name!r}")
@@ -320,10 +288,10 @@ def compose_profiles(names: list[str]) -> DiagramState:
     is returned verbatim.
     """
     kb = _load_kb()
-    states = [kb_lookup(name).state for name in names]
+    states = [kb_lookup(name) for name in names]
     key = tuple(sorted(set(names)))
     if key in kb["products"]:
-        return kb["products"][key].state
+        return kb["products"][key]
     emptiness = {}
     for node in REGION_NODES:
         values = {state.emptiness[node] for state in states}
@@ -342,10 +310,6 @@ def compose_profiles(names: list[str]) -> DiagramState:
 
 def emit_json(state: DiagramState) -> str:
     return dump_json(state.to_obj())
-
-
-def parse_state(text: str) -> DiagramState:
-    return DiagramState.from_obj(json.loads(text))
 
 
 def emit_dot(state: DiagramState) -> str:

@@ -274,11 +274,10 @@ def leq(kind: str, a: Condition, b: Condition) -> bool:
         return all(f[n] in t[n] for n in new for f in b.side)
     if kind in ("sacks", "laver"):
         return a.nodes <= b.nodes
-    if kind == "product":
-        return a.sacks_part.nodes <= b.sacks_part.nodes and (
-            a.laver_part.nodes <= b.laver_part.nodes
-        )
-    raise KindMismatch(f"unknown poset kind {kind!r}")
+    # product, the last of the POSET_KINDS that _require admits
+    return a.sacks_part.nodes <= b.sacks_part.nodes and (
+        a.laver_part.nodes <= b.laver_part.nodes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,7 @@ def fusion_leq(kind: str, a: Condition, b: Condition, n: int) -> bool:
     empty, so the cost does not grow with n.
     """
     if n < 0:
-        raise ValueError("fusion index must be a natural number")
+        raise MalformedInput("fusion index must be a natural number")
     if kind not in FUSION_KINDS:
         raise KindMismatch(f"fusion orders exist for {FUSION_KINDS}, got {kind!r}")
     _require(kind, a, b)

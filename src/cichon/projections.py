@@ -11,11 +11,12 @@ least-value padding rules, so equal inputs give equal outputs.
 
 from __future__ import annotations
 
-from .combinatorics import Family, FinFunc, Slalom
+from .combinatorics import MAX_VALUES, Family, FinFunc, Slalom
 from .errors import (
     FamilyTooLarge,
     GrowthTooSmall,
     HorizonMismatch,
+    MalformedInput,
     NotBelowProjection,
     RankTooLarge,
 )
@@ -41,13 +42,17 @@ def _rank_outside(excluded: set[int], m: int) -> int | None:
 
 
 def _require_liftable(c: LocCond, q) -> None:
-    """Both conditions valid and on one working horizon."""
+    """Both conditions valid and on one working horizon, and the lift's new
+    cells, n members at each new position n, at most MAX_VALUES in all."""
     require_valid(c)
     require_valid(q)
     if c.side.horizon != q.side.horizon:
         raise HorizonMismatch(
             f"working horizons differ: {c.side.horizon} vs {q.side.horizon}"
         )
+    members = sum(range(c.prefix.horizon, q.stem.horizon))
+    if members > MAX_VALUES:
+        raise MalformedInput(f"lift needs {members} new cell members, over {MAX_VALUES}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,10 @@ from cichon import (
     LocCond,
     ProductCond,
     Slalom,
-    StringEnumeration,
     WidthProfile,
     avoider_witness,
     block_encode,
     block_partition,
-    diagram_spec,
     enumerate_cuts,
     evasion_target,
     family_dominator,
@@ -31,6 +29,7 @@ from cichon import (
     kb_lookup,
     kb_names,
     least_threshold,
+    length_range,
     leq,
     lift_loc_to_d,
     lift_loc_to_e,
@@ -44,7 +43,7 @@ from cichon import (
     validate,
     weave,
 )
-from cichon.diagram import REGION_NODES, is_upward_closed
+from cichon.diagram import EDGES, NODES, is_upward_closed
 from conftest import (
     extend_loc,
     make_cohen,
@@ -85,7 +84,7 @@ def test_criterion_cut_enumeration():
         and {cut.nonempty for cut in cuts} == brute_force_cuts()
         and sorted(cut.realized_by for cut in cuts) == sorted(kb_names())
         and all(
-            kb_lookup(cut.realized_by).state.nonempty_set() == cut.nonempty
+            kb_lookup(cut.realized_by).nonempty_set() == cut.nonempty
             for cut in cuts
         )
         and elapsed < 1.0
@@ -99,7 +98,7 @@ def test_criterion_cut_enumeration():
 
 
 def test_criterion_diagram_shape():
-    nodes, edges = diagram_spec()
+    nodes, edges = NODES, EDGES
     closure = {node: set() for node in nodes}
     for a, b in edges:
         closure[a].add(b)
@@ -130,8 +129,7 @@ def test_criterion_kb_soundness():
     names = kb_names()
     ok = len(names) == 11 and set(names) == set(EXPECTED_PROFILES)
     for name in names:
-        profile = kb_lookup(name)
-        state = profile.state
+        state = kb_lookup(name)
         closed = propagate(state)
         expected_nonempty, expected_classes, expected_separators = EXPECTED_PROFILES[name]
         ok = ok and not isinstance(closed, Contradiction)
@@ -231,7 +229,7 @@ def test_criterion_rank_invariant():
         width = WidthProfile(tuple(rng.randint(1, 3) for _ in range(blocks)))
         partition = block_partition(width, blocks, cell_size=rng.randint(1, 2))
         sigma = make_slalom(rng, partition.covered_horizon, 32)
-        g = avoider_witness(sigma, width, partition)
+        g = avoider_witness(sigma, partition)
         for n in range(blocks):
             for k, cell in enumerate(partition.cells[n], start=1):
                 for x in cell:
@@ -410,15 +408,14 @@ def test_criterion_construction_bounds():
             for f in fam:
                 if hit_count("eq", g, f) < floor:
                     counterexamples += 1
-    enum = StringEnumeration()
     for _ in range(300):
         horizon = rng.randint(0, 8)
         cells = []
         for n in range(horizon):
-            pool = list(enum.length_range(n))
+            pool = list(length_range(n))
             cells.append(frozenset(rng.sample(pool, rng.randint(0, min(n, len(pool))))))
         sigma = Slalom(tuple(cells), WidthProfile.identity(horizon))
-        encoded = string_encode(evasion_target(sigma), enum)
+        encoded = string_encode(evasion_target(sigma))
         for n in range(horizon):
             if encoded[n] in sigma[n]:
                 counterexamples += 1

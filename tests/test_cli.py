@@ -580,6 +580,25 @@ def test_resource_bounds(tmp_path):
     assert err.startswith("MalformedInput: ")
 
 
+def test_lift_size_bound(tmp_path):
+    """A lift whose new cells would hold more than MAX_VALUES members is
+    refused before any cell is built."""
+    n = 1415  # sum(range(1, n)) = 1,000,405 new members
+    cond = write(
+        tmp_path, "c.json",
+        {"kind": "loc", "prefix": [[]], "side": {"horizon": n, "functions": []}},
+    )
+    targets = {
+        "loc-d": {"kind": "hechler", "stem": [0] + list(range(n - 1)), "side": [0] * n},
+        "loc-e": {"kind": "e", "stem": [0] * n, "side": {"horizon": n, "functions": []}},
+    }
+    for name, target in targets.items():
+        q = write(tmp_path, "q.json", target)
+        code, out, err = invoke(["project", "--map", name, "--cond", cond, "--lift", q])
+        assert (code, out) == (2, "")
+        assert err.startswith("MalformedInput: lift needs 1000405 new cell members")
+
+
 CLAUSES = {
     name
     for name, value in vars(errors).items()

@@ -11,16 +11,22 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cichon import (
+    DiagramState,
     Family,
     FinFunc,
+    FiniteTree,
     Slalom,
     WidthProfile,
+    block_partition,
     family_report,
+    fusion_leq,
     hit_count,
     least_threshold,
+    string_of,
 )
 from cichon.combinatorics import MAX_NATURAL, _check_naturals, dump_json
-from cichon.errors import HorizonMismatch, MalformedInput
+from cichon.diagram import REGION_NODES, _check_profile
+from cichon.errors import CichonError, HorizonMismatch, MalformedInput
 
 def _equal_length_pair(n):
     row = st.lists(st.integers(0, 50), min_size=n, max_size=n)
@@ -81,6 +87,43 @@ def test_horizon_mismatch():
 def test_in_requires_slalom():
     with pytest.raises(ValueError):
         least_threshold("in", FinFunc((1,)), FinFunc((1,)))
+
+
+F1 = FinFunc((1,))
+TREE = FiniteTree("sacks", frozenset({()}))
+# One call per kind of library refusal that is not a decoding error.
+LIBRARY_REFUSALS = {
+    "relation-name": lambda: least_threshold("lt", F1, F1),
+    "slalom-target": lambda: least_threshold("in", F1, F1),
+    "finfunc-target": lambda: least_threshold("leq", F1, Slalom.identity_width([()])),
+    "hit-relation-name": lambda: hit_count("leq", F1, F1),
+    "mode-name": lambda: family_report("leq", F1, Family((F1,), 1), "sideways"),
+    "evading-relation": lambda: family_report("leq", F1, Family((F1,), 1), "evading"),
+    "too-many-blocks": lambda: block_partition(WidthProfile((1,)), 2),
+    "cell-size": lambda: block_partition(WidthProfile((1,)), 1, cell_size=0),
+    "string-index": lambda: string_of(-1),
+    "fusion-index": lambda: fusion_leq("sacks", TREE, TREE, -1),
+    "state-node": lambda: DiagramState({"Nowhere": "empty"}),
+    "state-value": lambda: DiagramState({"BIn": "maybe"}),
+    "state-classes": lambda: DiagramState({}, classes=(("BIn",),)),
+    "state-separator-count": lambda: DiagramState(
+        {}, classes=(REGION_NODES,), separators=("distinct",)
+    ),
+    "state-separator-value": lambda: DiagramState(
+        {}, classes=(REGION_NODES[:1], REGION_NODES[1:]), separators=("maybe",)
+    ),
+    "kb-not-upward-closed": lambda: _check_profile("x", DiagramState({"BIn": "nonempty"})),
+    "kb-not-fixpoint": lambda: _check_profile("x", DiagramState({"DIn": "empty"})),
+    "kb-class-mixes": lambda: _check_profile(
+        "x", DiagramState({"AllNew": "nonempty"}, classes=(REGION_NODES,))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
+def test_library_refusals_are_cichon_errors(case):
+    with pytest.raises(CichonError):
+        LIBRARY_REFUSALS[case]()
 
 
 def test_hit_count_examples():

@@ -12,7 +12,6 @@ from cichon import (
     Family,
     FinFunc,
     Slalom,
-    StringEnumeration,
     WidthProfile,
     avoider_witness,
     block_encode,
@@ -22,12 +21,15 @@ from cichon import (
     family_dominator,
     family_slalom,
     hit_count,
+    index_of,
     least_avoider,
     least_threshold,
+    length_range,
     round_robin_ioe,
     singleton_slalom,
     slalom_dominator,
     string_encode,
+    string_of,
     sum_evader_bound,
     weave,
 )
@@ -263,7 +265,7 @@ def test_block_encode():
     assert encoded[1] == {1: 8, 2: 7}
     assert encoded[0] == {0: 9}
     glued = {}
-    for entry in encoded.entries:
+    for entry in encoded:
         glued.update(entry)
     assert [glued[x] for x in range(p.covered_horizon)] == list(f.values)
 
@@ -294,6 +296,31 @@ def test_weave_pads_with_zero():
     p = block_partition(width, 1)
     sigma = BlockSlalom(((),), width)
     assert weave(sigma, p).values == (0, 0)
+
+
+def test_weave_matches_definition(rng):
+    """For x in J_{n,k}, g(x) = entry[k][x] if the block entry has a k-th
+    member and 0 otherwise, on partially filled blocks too."""
+    for _ in range(300):
+        blocks = rng.randint(1, 4)
+        width = WidthProfile(tuple(rng.randint(1, 3) for _ in range(blocks)))
+        p = block_partition(width, blocks, cell_size=rng.randint(1, 2))
+        entries = tuple(
+            tuple(
+                {x: rng.randint(1, 9) for x in p.block(n)}
+                for _ in range(rng.randint(0, width[n]))
+            )
+            for n in range(blocks)
+        )
+        g = weave(BlockSlalom(entries, width), p)
+        expected = {}
+        for n, cells in enumerate(p.cells):
+            for k, cell in enumerate(cells):
+                for x in cell:
+                    expected[x] = entries[n][k][x] if k < len(entries[n]) else 0
+        assert g.values == tuple(expected[x] for x in range(p.covered_horizon))
+        sigma = make_slalom(rng, p.covered_horizon, 16)
+        assert columns_slalom(sigma, p).width == p.width
 
 
 def test_weave_shape_errors():
@@ -355,7 +382,7 @@ def test_columns_slalom_example():
         (frozenset(), frozenset({4, 9}), frozenset({5})),
         WidthProfile((0, 2, 1)),
     )
-    columns = columns_slalom(sigma, width, p)
+    columns = columns_slalom(sigma, p)
     assert columns[1] == ({1: 9, 2: 5}, {1: 4, 2: 0})
 
 
@@ -363,7 +390,7 @@ def test_columns_slalom_empty_cells():
     width = WidthProfile((2,))
     p = block_partition(width, 1)
     sigma = Slalom((frozenset(), frozenset()), WidthProfile((0, 0)))
-    columns = columns_slalom(sigma, width, p)
+    columns = columns_slalom(sigma, p)
     assert columns[0] == ({0: 0, 1: 0}, {0: 0, 1: 0})
 
 
@@ -373,7 +400,7 @@ def test_columns_slalom_member_count(rng):
         width = WidthProfile(tuple(rng.randint(1, 3) for _ in range(blocks)))
         p = block_partition(width, blocks)
         sigma = make_slalom(rng, p.covered_horizon, 16)
-        columns = columns_slalom(sigma, width, p)
+        columns = columns_slalom(sigma, p)
         for n in range(blocks):
             assert len(columns[n]) == width[n]
 
@@ -385,13 +412,13 @@ def test_avoider_witness_example():
         (frozenset(), frozenset({4, 9}), frozenset({5})),
         WidthProfile((0, 2, 1)),
     )
-    g = avoider_witness(sigma, width, p)
+    g = avoider_witness(sigma, p)
     assert g[1] == 9
     assert g[2] == 0
 
 
-def rank_invariant_holds(sigma, width, partition):
-    g = avoider_witness(sigma, width, partition)
+def rank_invariant_holds(sigma, partition):
+    g = avoider_witness(sigma, partition)
     for n in range(partition.block_count):
         for k, cell in enumerate(partition.cells[n], start=1):
             for x in cell:
@@ -408,7 +435,7 @@ def test_avoider_rank_invariant(rng):
         width = WidthProfile(tuple(rng.randint(1, 3) for _ in range(blocks)))
         p = block_partition(width, blocks, cell_size=rng.randint(1, 2))
         sigma = make_slalom(rng, p.covered_horizon, 16)
-        assert rank_invariant_holds(sigma, width, p)
+        assert rank_invariant_holds(sigma, p)
 
 
 def test_avoider_pointwise_match(rng):
@@ -420,7 +447,7 @@ def test_avoider_pointwise_match(rng):
         p = block_partition(width, blocks)
         sigma = make_slalom(rng, p.covered_horizon, 12)
         f = make_finfunc(rng, p.covered_horizon, 12)
-        g = avoider_witness(sigma, width, p)
+        g = avoider_witness(sigma, p)
         for n in range(blocks):
             for k, cell in enumerate(p.cells[n], start=1):
                 for x in cell:
@@ -434,26 +461,22 @@ def test_avoider_pointwise_match(rng):
 
 
 def test_enumeration_prefix():
-    enum = StringEnumeration()
-    assert [enum.string_of(k) for k in range(7)] == ["", "0", "1", "00", "01", "10", "11"]
+    assert [string_of(k) for k in range(7)] == ["", "0", "1", "00", "01", "10", "11"]
 
 
 def test_enumeration_round_trip():
-    enum = StringEnumeration()
     for k in range(200):
-        assert enum.index_of(enum.string_of(k)) == k
-    assert list(enum.length_range(3)) == list(range(7, 15))
+        assert index_of(string_of(k)) == k
+    assert list(length_range(3)) == list(range(7, 15))
 
 
 def test_string_encode_example():
-    enum = StringEnumeration()
     g = BitstringFunc(("", "0", "01"))
-    assert string_encode(g, enum).values == (0, 1, 4)
+    assert string_encode(g).values == (0, 1, 4)
 
 
 def test_string_encode_injective_per_position():
-    enum = StringEnumeration()
-    seen = {enum.index_of(enum.string_of(k)) for k in range(64)}
+    seen = {index_of(string_of(k)) for k in range(64)}
     assert len(seen) == 64
 
 
@@ -475,19 +498,13 @@ def test_evasion_target_no_admissible():
 
 
 def test_evasion_escapes(rng):
-    enum = StringEnumeration()
     for _ in range(100):
         horizon = rng.randint(0, 7)
         cells = []
         for n in range(horizon):
-            indices = list(enum.length_range(n))
+            indices = list(length_range(n))
             cells.append(frozenset(rng.sample(indices, rng.randint(0, min(n, len(indices))))))
         sigma = Slalom(tuple(cells), WidthProfile.identity(horizon))
-        encoded = string_encode(evasion_target(sigma), enum)
+        encoded = string_encode(evasion_target(sigma))
         for n in range(horizon):
             assert encoded[n] not in sigma[n]
-
-
-def test_bitstring_json_round_trip():
-    g = BitstringFunc(("01", "", "1"))
-    assert BitstringFunc.from_obj(g.to_obj()) == g

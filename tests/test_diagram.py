@@ -10,7 +10,6 @@ from cichon import (
     Contradiction,
     DiagramState,
     compose_profiles,
-    diagram_spec,
     emit_dot,
     emit_json,
     enumerate_cuts,
@@ -18,7 +17,7 @@ from cichon import (
     kb_names,
     propagate,
 )
-from cichon.diagram import NODES, REGION_NODES, parse_state
+from cichon.diagram import EDGES, NODES, REGION_NODES
 from cichon.errors import UnknownForcing
 
 EXPECTED_EDGES = {
@@ -111,7 +110,7 @@ def brute_force_cuts():
 
 
 def test_diagram_shape():
-    nodes, edges = diagram_spec()
+    nodes, edges = NODES, EDGES
     assert len(nodes) == 8
     assert len(edges) == 9
     assert set(edges) == EXPECTED_EDGES
@@ -175,7 +174,7 @@ def test_propagate_contradiction():
 
 def test_propagate_idempotent_on_profiles():
     for name in kb_names():
-        state = kb_lookup(name).state
+        state = kb_lookup(name)
         closed = propagate(state)
         assert not isinstance(closed, Contradiction)
         assert closed.emptiness == state.emptiness
@@ -197,7 +196,7 @@ def test_cut_realizers_bijective():
     assert None not in realizers
     assert sorted(realizers) == sorted(kb_names())
     for cut in cuts:
-        assert kb_lookup(cut.realized_by).state.nonempty_set() == cut.nonempty
+        assert kb_lookup(cut.realized_by).nonempty_set() == cut.nonempty
 
 
 def test_full_cut_and_non_cut():
@@ -213,23 +212,23 @@ def test_full_cut_and_non_cut():
 def test_kb_profiles_match_recorded_regions():
     assert set(kb_names()) == set(EXPECTED_PROFILES)
     for name, (nonempty, classes, separators) in EXPECTED_PROFILES.items():
-        profile = kb_lookup(name)
-        assert profile.state.nonempty_set() == frozenset(nonempty), name
-        assert [list(cls) for cls in profile.state.classes] == classes, name
-        assert list(profile.state.separators) == separators, name
-        assert profile.citation
+        state = kb_lookup(name)
+        assert state.nonempty_set() == frozenset(nonempty), name
+        assert [list(cls) for cls in state.classes] == classes, name
+        assert list(state.separators) == separators, name
+        assert state.citation
 
 
 def test_kb_nonempty_sets_upward_closed():
     from cichon.diagram import is_upward_closed
 
     for name in kb_names():
-        assert is_upward_closed(kb_lookup(name).state.nonempty_set()), name
+        assert is_upward_closed(kb_lookup(name).nonempty_set()), name
 
 
 def test_kb_classes_share_emptiness():
     for name in kb_names():
-        assert kb_lookup(name).state.class_violations() == [], name
+        assert kb_lookup(name).class_violations() == [], name
 
 
 def test_kb_unknown_forcing():
@@ -238,19 +237,19 @@ def test_kb_unknown_forcing():
 
 
 def test_sacks_profile_example():
-    state = kb_lookup("sacks").state
+    state = kb_lookup("sacks")
     assert state.nonempty_set() == frozenset({"AllNew"})
 
 
 def test_hechler_profile_example():
-    state = kb_lookup("hechler").state
+    state = kb_lookup("hechler")
     assert state.emptiness["BIn"] == "empty"
     assert ("BLeq", "BNeq") in {tuple(cls) for cls in state.classes}
     assert ("DNeq", "DLeq", "DIn", "AllNew") in {tuple(cls) for cls in state.classes}
 
 
 def test_random_profile_example():
-    state = kb_lookup("random").state
+    state = kb_lookup("random")
     for node in ("BIn", "BLeq", "DNeq", "DLeq"):
         assert state.emptiness[node] == "empty"
     assert ("BNeq", "DIn", "AllNew") in {tuple(cls) for cls in state.classes}
@@ -304,12 +303,12 @@ def test_compose_unknown_factor():
 
 def test_dot_has_nine_edges():
     for name in kb_names():
-        dot = emit_dot(kb_lookup(name).state)
+        dot = emit_dot(kb_lookup(name))
         assert dot.count(" -> ") == 9
 
 
 def test_dot_hechler_clusters():
-    state = kb_lookup("hechler").state
+    state = kb_lookup("hechler")
     dot = emit_dot(state)
     assert dot.count("subgraph cluster_") == 3
     nonempty_clusters = [
@@ -320,12 +319,12 @@ def test_dot_hechler_clusters():
 
 def test_json_round_trip():
     for name in kb_names():
-        state = kb_lookup(name).state
-        assert parse_state(emit_json(state)) == state
+        state = kb_lookup(name)
+        assert DiagramState.from_obj(json.loads(emit_json(state))) == state
 
 
 def test_emitted_json_is_sorted_and_stable():
-    state = kb_lookup("cohen").state
-    assert emit_json(state) == emit_json(parse_state(emit_json(state)))
+    state = kb_lookup("cohen")
+    assert emit_json(state) == emit_json(DiagramState.from_obj(json.loads(emit_json(state))))
     payload = json.loads(emit_json(state))
     assert set(payload["emptiness"]) == set(NODES)

@@ -21,6 +21,7 @@ from cichon import (
 from cichon.errors import (
     FamilyTooLarge,
     GrowthTooSmall,
+    MalformedInput,
     NotBelowProjection,
     RankTooLarge,
 )
@@ -119,6 +120,27 @@ def test_lift_d_randomized_laws(rng):
         assert leq("loc", lifted, c)
         reproj = proj_loc_to_d(lifted)
         assert reproj.stem == q.stem and reproj.side == q.side
+
+
+def long_lift_pair(n):
+    """A one-cell prefix with no side family, and the least loc-d target
+    with stem horizon n: its lift pads position m to m members, so it holds
+    sum(range(1, n)) new members in all."""
+    c = loc([[]], [], n)
+    return c, HechlerCond(FinFunc((0,) + tuple(range(n - 1))), FinFunc((0,) * n))
+
+
+def test_lift_size_bound():
+    c, q = long_lift_pair(1414)  # 998,991 new members
+    lifted = lift_loc_to_d(c, q)
+    assert sum(map(len, lifted.prefix.cells)) == 998_991
+    assert proj_loc_to_d(lifted).stem == q.stem
+    c, q = long_lift_pair(1415)  # 1,000,405 new members
+    with pytest.raises(MalformedInput, match="1000405 new cell members"):
+        lift_loc_to_d(c, q)
+    q = ECond(FinFunc((0,) * 1415), Family((), 1415))
+    with pytest.raises(MalformedInput, match="1000405 new cell members"):
+        lift_loc_to_e(c, q)
 
 
 # ---------------------------------------------------------------------------
