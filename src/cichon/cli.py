@@ -148,6 +148,8 @@ def _cmd_construct(args, out) -> int:
             raise MalformedInput("random-family needs --seed, --horizon, --max-value >= 1")
         if args.count * args.horizon > comb.MAX_VALUES:
             raise MalformedInput(f"--count x --horizon exceeds {comb.MAX_VALUES}")
+        if args.horizon > comb.MAX_VALUES:  # what a family file may declare, members or not
+            raise MalformedInput(f"--horizon {args.horizon} exceeds {comb.MAX_VALUES}")
         rng = random.Random(args.seed)
         functions = [
             [rng.randrange(args.max_value) for _ in range(args.horizon)]

@@ -163,12 +163,16 @@ class DiagramState:
     @classmethod
     def from_obj(cls, obj) -> "DiagramState":
         _check_shape(obj, dict, "diagram state", ("emptiness",))
-        return cls(
-            emptiness=dict(_check_shape(obj["emptiness"], dict, "diagram emptiness")),
-            classes=obj.get("classes"),
-            separators=obj.get("separators"),
-            citation=obj.get("citation"),
-        )
+        emptiness = dict(_check_shape(obj["emptiness"], dict, "diagram emptiness"))
+        classes, separators, citation = map(obj.get, ("classes", "separators", "citation"))
+        if classes is not None:
+            for row in _check_shape(classes, list, "diagram classes", items=list):
+                _check_shape(row, list, "diagram class", items=str)
+        if separators is not None:
+            _check_shape(separators, list, "diagram separators", items=str)
+        if citation is not None:
+            _check_shape(citation, str, "diagram citation")
+        return cls(emptiness, classes, separators, citation)
 
 
 # ---------------------------------------------------------------------------

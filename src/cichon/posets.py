@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .combinatorics import Family, FinFunc, Slalom, _check_naturals, _check_shape
 from .errors import HorizonMismatch, InvalidCondition, KindMismatch, MalformedInput
@@ -64,17 +65,18 @@ class FiniteTree:
     """A prefix-closed finite tree, either binary ("sacks") or
     natural-branching with a stem ("laver")."""
 
-    tree_kind: str
+    kind: str
     nodes: frozenset[Node]
     branching_budget: int | None = None
     splitting_budget: int | None = None
 
     def __post_init__(self):
+        budgets = (self.branching_budget, self.splitting_budget)
+        _check_naturals([b for b in budgets if b is not None], f"{self.kind} budgets")
+        # before hashing: an array or object entry cannot be hashed
+        if not set(map(type, chain.from_iterable(self.nodes))) <= {int}:
+            raise MalformedInput(f"{self.kind} node entries must be natural numbers")
         object.__setattr__(self, "nodes", frozenset(map(tuple, self.nodes)))
-
-    @property
-    def kind(self) -> str:
-        return self.tree_kind
 
     @property
     def depth(self) -> int:
@@ -145,17 +147,14 @@ def _validate_tree(t: FiniteTree) -> list[str]:
     if () not in t.nodes:
         return ["tree must contain the root"]
     flagged = []
-    binary = t.tree_kind == "sacks"
+    binary = t.kind == "sacks"
     for node in t.nodes:
         if node and node[:-1] not in t.nodes:
             flagged.append((node, "not prefix-closed"))
-        if binary and any(type(v) is not int or v not in (0, 1) for v in node):
+        if binary and any(v not in (0, 1) for v in node):
             flagged.append((node, "binary alphabet violated"))
-        if t.tree_kind == "laver" and any(type(v) is not int or v < 0 for v in node):
+        if t.kind == "laver" and any(v < 0 for v in node):
             flagged.append((node, "natural alphabet violated"))
-    # a non-integer entry is malformed, and must not reach the sorts below
-    if any(type(v) is not int for node, _ in flagged for v in node):
-        raise MalformedInput(f"{t.tree_kind} node entries must be natural numbers")
     # node order, so the message does not depend on how the set was built
     flagged.sort(key=lambda item: item[0])
     out = [f"{clause} at {list(node)}" for node, clause in flagged]
@@ -165,11 +164,11 @@ def _validate_tree(t: FiniteTree) -> list[str]:
             out.append(
                 f"leaf {list(leaf)} at depth {len(leaf)} != working depth {depth}"
             )
-    if t.tree_kind == "laver":
+    if t.kind == "laver":
         if t.branching_budget is not None and t.branching_budget < 1:
             out.append("branching budget must be >= 1")
-    elif t.tree_kind != "sacks":
-        out.append(f"unknown tree kind {t.tree_kind!r}")
+    elif t.kind != "sacks":
+        out.append(f"unknown tree kind {t.kind!r}")
     return out
 
 
@@ -196,9 +195,9 @@ def validate(cond: Condition) -> list[str]:
         return list(cond._violations)
     if isinstance(cond, ProductCond):
         out = []
-        if cond.sacks_part.tree_kind != "sacks":
+        if cond.sacks_part.kind != "sacks":
             out.append("first component must be a sacks tree")
-        if cond.laver_part.tree_kind != "laver":
+        if cond.laver_part.kind != "laver":
             out.append("second component must be a laver tree")
         out.extend(cond.sacks_part._violations)
         out.extend(cond.laver_part._violations)
@@ -286,7 +285,7 @@ def leq(kind: str, a: Condition, b: Condition) -> bool:
 
 def splitting_nodes(tree: FiniteTree, n: int) -> list[Node]:
     """Splitting nodes with exactly n splitting proper predecessors."""
-    if tree.tree_kind != "sacks":
+    if tree.kind != "sacks":
         raise KindMismatch("splitting nodes are defined for sacks trees")
     require_valid(tree)
     return sorted(node for node, level in tree._split_levels.items() if level == n)
@@ -294,12 +293,9 @@ def splitting_nodes(tree: FiniteTree, n: int) -> list[Node]:
 
 def canonical_enum(tree: FiniteTree) -> list[Node]:
     """Nodes strictly above the stem in length-then-lexicographic order."""
-    if tree.tree_kind != "laver":
+    if tree.kind != "laver":
         raise KindMismatch("the canonical enumeration is defined for laver trees")
-    return _canonical(require_valid(tree))
-
-
-def _canonical(tree: FiniteTree) -> list[Node]:
+    require_valid(tree)
     stem = tree.stem
     above = [
         node
@@ -323,14 +319,9 @@ def fusion_leq(kind: str, a: Condition, b: Condition, n: int) -> bool:
         raise KindMismatch(f"fusion orders exist for {FUSION_KINDS}, got {kind!r}")
     _require(kind, a, b)
     if kind == "product":
-        return _fusion_leq("sacks", a.sacks_part, b.sacks_part, n) and _fusion_leq(
+        return fusion_leq("sacks", a.sacks_part, b.sacks_part, n) and fusion_leq(
             "laver", a.laver_part, b.laver_part, n
         )
-    return _fusion_leq(kind, a, b, n)
-
-
-def _fusion_leq(kind: str, a: FiniteTree, b: FiniteTree, n: int) -> bool:
-    """fusion_leq on trees already checked by the caller."""
     if not a.nodes <= b.nodes:
         return False
     if kind == "sacks":
@@ -340,7 +331,7 @@ def _fusion_leq(kind: str, a: FiniteTree, b: FiniteTree, n: int) -> bool:
             for node, level in a._split_levels.items()
             if level <= n
         )
-    return _canonical(a)[: n + 1] == _canonical(b)[: n + 1]
+    return canonical_enum(a)[: n + 1] == canonical_enum(b)[: n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +395,4 @@ def _tree_from_obj(obj) -> FiniteTree:
     if kind not in ("sacks", "laver"):
         raise MalformedInput(f"expected a sacks or laver tree, got {kind!r}")
     nodes = _check_shape(obj["nodes"], list, f"{kind} nodes", items=list)
-    budgets = obj.get("branching_budget"), obj.get("splitting_budget")
-    _check_naturals([b for b in budgets if b is not None], f"{kind} budgets")
-    try:
-        return FiniteTree(kind, nodes, *budgets)
-    except TypeError:  # an array or object entry cannot be hashed
-        raise MalformedInput(f"{kind} node entries must be natural numbers") from None
+    return FiniteTree(kind, nodes, obj.get("branching_budget"), obj.get("splitting_budget"))

@@ -263,7 +263,7 @@ def prune_tree(rng, tree, keep_probability=0.75):
         keep.update(chosen)
         frontier.extend(chosen)
     return FiniteTree(
-        tree.tree_kind,
+        tree.kind,
         frozenset(keep),
         branching_budget=tree.branching_budget,
         splitting_budget=tree.splitting_budget,

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cichon
-from cichon import ProductCond, errors
+from cichon import Family, ProductCond, errors
 from cichon.cli import run
 from cichon.combinatorics import MAX_NATURAL
 from cichon.posets import POSET_KINDS, condition_to_obj
@@ -597,6 +597,90 @@ def test_lift_size_bound(tmp_path):
         code, out, err = invoke(["project", "--map", name, "--cond", cond, "--lift", q])
         assert (code, out) == (2, "")
         assert err.startswith("MalformedInput: lift needs 1000405 new cell members")
+
+
+def test_random_family_horizon_bound():
+    """random-family writes no family that a family file may not declare,
+    even one with no members."""
+    draw = ["construct", "--kind", "random-family", "--seed", "1", "--count", "0"]
+    code, out, err = invoke(draw + ["--horizon", "1000001"])
+    assert (code, out) == (2, "")
+    assert err.startswith("MalformedInput: ")
+    code, out, _ = invoke(draw + ["--horizon", "1000000"])
+    assert code == 0
+    assert Family.from_obj(json.loads(out)).horizon == 10**6
+
+
+# ---------------------------------------------------------------------------
+# Branches the other tests leave unexercised: an exit 2 names its clause, an
+# exit 0 or 1 prints the payload given.
+
+LEQ = ["poset", "--kind", "{kind}", "--op", "leq", "--a", "{a}", "--b", "{b}"]
+LIFT = ["project", "--map", "loc-d", "--cond", "{a}", "--lift", "{b}"]
+
+
+def _loc(prefix, horizon, functions=()):
+    side = {"horizon": horizon, "functions": list(functions)}
+    return {"kind": "loc", "prefix": prefix, "side": side}
+
+
+def _e(horizon, functions=()):
+    return {"kind": "e", "stem": [], "side": {"horizon": horizon, "functions": list(functions)}}
+
+
+HECHLER = {"kind": "hechler", "stem": [], "side": [0]}
+SWAPPED = {"kind": "product", "sacks": ROOT_ONLY, "laver": {"kind": "sacks", "nodes": [[]]}}
+NOT_BELOW = {"holds": False}
+BRANCHES = {
+    "hechler-side-horizons": (LEQ, HECHLER, {**HECHLER, "side": [0, 0]}, 2, "HorizonMismatch: "),
+    "e-side-horizons": (LEQ, _e(1), _e(2), 2, "HorizonMismatch: "),
+    "loc-side-horizons": (LEQ, _loc([[]], 1), _loc([[]], 2), 2, "HorizonMismatch: "),
+    "e-side-not-contained": (LEQ, _e(1), _e(1, [[0]]), 1, NOT_BELOW),
+    "loc-side-not-contained": (LEQ, _loc([[]], 1), _loc([[]], 1, [[0]]), 1, NOT_BELOW),
+    "loc-prefix-disagrees": (LEQ, _loc([[], [1]], 2), _loc([[], [2]], 2), 1, NOT_BELOW),
+    "loc-prefix-past-side": (
+        LEQ, _loc([[], []], 1), _loc([[], []], 1), 2,
+        "InvalidCondition: |s| <= side horizon",
+    ),
+    "product-swapped": (
+        LEQ, SWAPPED, SWAPPED, 2, "InvalidCondition: first component must be a sacks tree; ",
+    ),
+    "evader-truncated": (
+        ["construct", "--kind", "evader", "--family", "{a}", "--horizon", "2"],
+        {"cells": [[], [1], [1, 2]]}, None, 0, {"witness": [1, 2]},
+    ),
+    "dominator-without-family": (
+        ["construct", "--kind", "dominator"], None, None, 2, "MalformedInput: ",
+    ),
+    "project-pair-and-lift": (LIFT, {"loc": _loc([[]], 1)}, HECHLER, 2, "MalformedInput: "),
+    "project-non-loc": (
+        ["project", "--map", "loc-d", "--cond", "{a}"], HECHLER, None, 2, "MalformedInput: ",
+    ),
+    "project-lift-wrong-kind": (LIFT, _loc([[]], 1), _e(1), 2, "MalformedInput: "),
+    "check-in-width-length": (
+        ["check", "--relation", "in", "--f", "{a}", "--g", "{b}"],
+        [0], {"cells": [[0]], "width": [1, 1]}, 2, "HorizonMismatch: ",
+    ),
+    "family-member-horizon": (
+        FAMILY, {"horizon": 2, "functions": [[1]]}, None, 2, "HorizonMismatch: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRANCHES))
+def test_rarely_taken_branches(tmp_path, case):
+    argv, a, b, code, expected = BRANCHES[case]
+    kind = a.get("kind", "") if isinstance(a, dict) else ""
+    a, b = write(tmp_path, "a.json", a), write(tmp_path, "b.json", b)
+    got, out, err = invoke([arg.format(kind=kind, a=a, b=b, f=a) for arg in argv])
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err.startswith(expected)
+    else:
+        assert err == ""
+        payload = json.loads(out)
+        assert {key: payload[key] for key in expected} == expected
 
 
 CLAUSES = {

@@ -117,6 +117,19 @@ LIBRARY_REFUSALS = {
     "kb-class-mixes": lambda: _check_profile(
         "x", DiagramState({"AllNew": "nonempty"}, classes=(REGION_NODES,))
     ),
+    "state-classes-number": lambda: DiagramState.from_obj({"emptiness": {}, "classes": 5}),
+    "state-class-member-number": lambda: DiagramState.from_obj(
+        {"emptiness": {}, "classes": [["BIn", 1]]}
+    ),
+    "state-separators-number": lambda: DiagramState.from_obj(
+        {"emptiness": {}, "classes": [list(REGION_NODES)], "separators": 5}
+    ),
+    "state-citation-number": lambda: DiagramState.from_obj(
+        {"emptiness": {}, "citation": 5}
+    ),
+    "tree-string-entry": lambda: FiniteTree("laver", [[], ["a"]]),
+    "tree-string-entry-unknown-kind": lambda: FiniteTree("foo", {(), ("a",), (0,)}),
+    "tree-string-budget": lambda: FiniteTree("laver", [[]], branching_budget="x"),
 }
 
 

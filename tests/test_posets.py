@@ -314,9 +314,9 @@ class BruteTree:
         for node in sorted(t.nodes):
             if node and node[:-1] not in t.nodes:
                 out.append(f"not prefix-closed at {list(node)}")
-            if t.tree_kind == "sacks" and any(v not in (0, 1) for v in node):
+            if t.kind == "sacks" and any(v not in (0, 1) for v in node):
                 out.append(f"binary alphabet violated at {list(node)}")
-            if t.tree_kind == "laver" and any(v < 0 for v in node):
+            if t.kind == "laver" and any(v < 0 for v in node):
                 out.append(f"natural alphabet violated at {list(node)}")
         depth = max(len(node) for node in t.nodes)
         out += [
@@ -324,7 +324,7 @@ class BruteTree:
             for leaf in self.leaves()
             if len(leaf) != depth
         ]
-        if t.tree_kind == "laver" and t.branching_budget is not None:
+        if t.kind == "laver" and t.branching_budget is not None:
             if t.branching_budget < 1:
                 out.append("branching budget must be >= 1")
         return out
@@ -384,11 +384,11 @@ def damage(rng, tree):
     """An invalid variant: some nodes dropped (breaking prefix closure or
     leaf depth) and some off-alphabet nodes added."""
     nodes = set(rng.sample(sorted(tree.nodes), max(1, len(tree.nodes) * 3 // 4)))
-    bad = 2 if tree.tree_kind == "sacks" else -1
+    bad = 2 if tree.kind == "sacks" else -1
     for _ in range(rng.randint(0, 3)):
         node = rng.choice(sorted(tree.nodes))
         nodes.add(node + (bad,))
-    return FiniteTree(tree.tree_kind, frozenset(nodes), branching_budget=rng.choice((None, 0, 2)))
+    return FiniteTree(tree.kind, frozenset(nodes), branching_budget=rng.choice((None, 0, 2)))
 
 
 def test_tree_index_matches_oracle(rng):
@@ -406,13 +406,13 @@ def test_tree_index_matches_oracle(rng):
             assert validate(t) == brute.validate()
             if validate(t):
                 with pytest.raises(InvalidCondition):
-                    leq(t.tree_kind, t, t)
+                    leq(t.kind, t, t)
 
 
 def test_tree_tables_match_oracle(rng):
     for t in sample_trees(rng):
         brute = BruteTree(t)
-        if t.tree_kind == "sacks":
+        if t.kind == "sacks":
             for n in range(t.depth + 2):
                 assert splitting_nodes(t, n) == brute.splitting(n)
         else:
@@ -423,12 +423,12 @@ def test_fusion_matches_oracle(rng):
     trees = sample_trees(rng)
     pairs = [(t, prune_tree(rng, t)) for t in trees] + list(zip(trees, trees[1:]))
     for b, a in pairs:
-        if a.tree_kind != b.tree_kind:
+        if a.kind != b.kind:
             continue
         ba, bb = BruteTree(a), BruteTree(b)
         for n in range(max(a.depth, b.depth) + 2):
-            assert fusion_leq(a.tree_kind, a, b, n) == oracle_fusion(a.tree_kind, ba, bb, n)
-            assert fusion_leq(a.tree_kind, b, a, n) == oracle_fusion(a.tree_kind, bb, ba, n)
+            assert fusion_leq(a.kind, a, b, n) == oracle_fusion(a.kind, ba, bb, n)
+            assert fusion_leq(a.kind, b, a, n) == oracle_fusion(a.kind, bb, ba, n)
     for _ in range(30):
         ps, pl = make_sacks(rng), make_laver(rng)
         qs, ql = prune_tree(rng, ps), prune_tree(rng, pl)
