@@ -40,29 +40,22 @@ EMPTINESS = ("empty", "nonempty", "unknown")
 SEPARATORS = ("distinct", "unknown")
 
 
-def _successors() -> dict[str, tuple[str, ...]]:
-    out: dict[str, list[str]] = {node: [] for node in NODES}
-    for a, b in EDGES:
-        out[a].append(b)
-    return {node: tuple(v) for node, v in out.items()}
+def _paths_from(start: str) -> dict[str, tuple[str, ...]]:
+    """Every node start reaches, itself included, mapped to the first
+    shortest arrow path to it, in breadth-first order over EDGES."""
+    paths = {start: (start,)}
+    queue = [start]
+    for node in queue:
+        for a, b in EDGES:
+            if a == node and b not in paths:
+                paths[b] = paths[node] + (b,)
+                queue.append(b)
+    return paths
 
 
-SUCCESSORS = _successors()
-
-
-def reachable(start: str) -> frozenset[str]:
-    """Nodes strictly reachable from start along the arrows."""
-    seen: set[str] = set()
-    stack = list(SUCCESSORS[start])
-    while stack:
-        node = stack.pop()
-        if node not in seen:
-            seen.add(node)
-            stack.extend(SUCCESSORS[node])
-    return frozenset(seen)
-
-
-REACHABLE = {node: reachable(node) for node in NODES}
+_PATHS = {node: _paths_from(node) for node in NODES}
+# Nodes strictly reachable from each node along the arrows.
+REACHABLE = {node: frozenset(paths) - {node} for node, paths in _PATHS.items()}
 
 # Position of each node in diagram order, the one sort key for node lists.
 NODE_RANK = {node: i for i, node in enumerate(NODES)}
@@ -179,41 +172,27 @@ class DiagramState:
 # Propagation
 
 
-def _shortest_path(start: str, goal: str) -> tuple[str, ...]:
-    frontier = [(start,)]
-    while frontier:
-        path = frontier.pop(0)
-        if path[-1] == goal:
-            return path
-        for nxt in SUCCESSORS[path[-1]]:
-            frontier.append(path + (nxt,))
-    return (start, goal)
-
-
 def propagate(state: DiagramState) -> DiagramState | Contradiction:
     """Close the state under the inclusion semantics of the arrows.
 
     A nonempty node makes everything it reaches nonempty; an empty node
-    makes everything reaching it empty.  A node pushed both ways is
-    reported as a Contradiction carrying a witnessing implication chain.
-    The closure is monotone and stabilizes within one pass per node.
+    makes everything reaching it empty.  An empty node reachable from a
+    nonempty one is reported as a Contradiction: the first such pair in
+    diagram order, then breadth-first order, with the shortest arrow path
+    between them as its chain.  Emptiness only spreads to nodes the upward
+    pass left alone, so the downward pass cannot contradict.
     """
     values = dict(state.emptiness)
-    if values["Empty"] == "nonempty":
-        return Contradiction("Empty", ("Empty",))
-    values["Empty"] = "empty"
     for node in NODES:
         if values[node] == "nonempty":
-            for other in REACHABLE[node]:
+            for other, chain in _PATHS[node].items():
                 if values[other] == "empty":
-                    return Contradiction(other, _shortest_path(node, other))
+                    return Contradiction(other, chain)
                 values[other] = "nonempty"
     for node in NODES:
         if values[node] == "empty":
             for other in NODES:
                 if node in REACHABLE[other]:
-                    if values[other] == "nonempty":
-                        return Contradiction(other, _shortest_path(other, node))
                     values[other] = "empty"
     return dataclasses.replace(state, emptiness=values)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .combinatorics import Family, FinFunc, Slalom, _check_naturals, _check_shape
+from .combinatorics import MAX_NATURAL, Family, FinFunc, Slalom, _check_naturals, _check_shape
 from .errors import HorizonMismatch, InvalidCondition, KindMismatch, MalformedInput
 
 POSET_KINDS = ("cohen", "hechler", "e", "loc", "sacks", "laver", "product")
@@ -73,9 +73,13 @@ class FiniteTree:
     def __post_init__(self):
         budgets = (self.branching_budget, self.splitting_budget)
         _check_naturals([b for b in budgets if b is not None], f"{self.kind} budgets")
+        entries = list(chain.from_iterable(self.nodes))
         # before hashing: an array or object entry cannot be hashed
-        if not set(map(type, chain.from_iterable(self.nodes))) <= {int}:
+        if not set(map(type, entries)) <= {int}:
             raise MalformedInput(f"{self.kind} node entries must be natural numbers")
+        # so every node prints; a smaller negative entry is an alphabet violation
+        if max(map(abs, set(entries)), default=0) >= MAX_NATURAL:
+            raise MalformedInput(f"{self.kind} node entries must be below 10**4000 in magnitude")
         object.__setattr__(self, "nodes", frozenset(map(tuple, self.nodes)))
 
     @property
@@ -222,61 +226,44 @@ def _require(kind: str, a: Condition, b: Condition):
         require_valid(cond)
 
 
-def _extends(longer: FinFunc, shorter: FinFunc) -> bool:
-    return (
-        longer.horizon >= shorter.horizon
-        and longer.values[: shorter.horizon] == shorter.values
-    )
-
-
-def _family_contains(big: Family, small: Family) -> bool:
-    members = {f.values for f in big}
-    return all(f.values in members for f in small)
-
-
 # ---------------------------------------------------------------------------
 # Orders
+
+# The sides of a and b must share a horizon; the message per kind.
+_SIDE_HORIZONS = {
+    "hechler": "hechler sides live on different horizons",
+    "e": "e-condition families live on different horizons",
+    "loc": "loc-condition families live on different horizons",
+}
 
 
 def leq(kind: str, a: Condition, b: Condition) -> bool:
     """True iff a strengthens b in the given poset."""
     _require(kind, a, b)
-    if kind == "cohen":
-        return _extends(a.stem, b.stem)
-    if kind == "hechler":
-        if a.side.horizon != b.side.horizon:
-            raise HorizonMismatch("hechler sides live on different horizons")
-        if not _extends(a.stem, b.stem):
-            return False
-        new = range(b.stem.horizon, a.stem.horizon)
-        if any(a.stem[n] < b.side[n] for n in new):
-            return False
-        return all(a.side[n] >= b.side[n] for n in range(b.side.horizon))
-    if kind == "e":
-        if a.side.horizon != b.side.horizon:
-            raise HorizonMismatch("e-condition families live on different horizons")
-        if not _extends(a.stem, b.stem):
-            return False
-        if not _family_contains(a.side, b.side):
-            return False
-        new = range(b.stem.horizon, a.stem.horizon)
-        return all(a.stem[n] != f[n] for n in new for f in b.side)
-    if kind == "loc":
-        if a.side.horizon != b.side.horizon:
-            raise HorizonMismatch("loc-condition families live on different horizons")
-        s, t = b.prefix, a.prefix
-        if t.horizon < s.horizon or t.cells[: s.horizon] != s.cells:
-            return False
-        if not _family_contains(a.side, b.side):
-            return False
-        new = range(s.horizon, t.horizon)
-        return all(f[n] in t[n] for n in new for f in b.side)
     if kind in ("sacks", "laver"):
         return a.nodes <= b.nodes
-    # product, the last of the POSET_KINDS that _require admits
-    return a.sacks_part.nodes <= b.sacks_part.nodes and (
-        a.laver_part.nodes <= b.laver_part.nodes
-    )
+    if kind == "product":
+        return a.sacks_part.nodes <= b.sacks_part.nodes and (
+            a.laver_part.nodes <= b.laver_part.nodes
+        )
+    if kind in _SIDE_HORIZONS and a.side.horizon != b.side.horizon:
+        raise HorizonMismatch(_SIDE_HORIZONS[kind])
+    # a's head (its stem, or a loc prefix) end-extends b's; past b's it is new
+    head, old = (c.prefix.cells if kind == "loc" else c.stem.values for c in (a, b))
+    if head[: len(old)] != old:
+        return False
+    if kind in ("e", "loc") and not {f.values for f in b.side} <= {f.values for f in a.side}:
+        return False
+    new = range(len(old), len(head))
+    if kind == "hechler":
+        return all(a.stem[n] >= b.side[n] for n in new) and all(
+            a.side[n] >= b.side[n] for n in range(b.side.horizon)
+        )
+    if kind == "e":
+        return all(a.stem[n] != f[n] for n in new for f in b.side)
+    if kind == "loc":
+        return all(f[n] in a.prefix[n] for n in new for f in b.side)
+    return True  # cohen: end-extension is the whole order
 
 
 # ---------------------------------------------------------------------------

@@ -503,6 +503,21 @@ def test_results_stay_printable(tmp_path):
                 assert json.loads(out)["witness"] == [value + 1]
 
 
+def test_tree_entries_stay_printable(tmp_path):
+    """A tree entry of 10**4000 or more exits 2, as the same value does as a
+    budget."""
+    cases = (
+        ({"nodes": [[], [10**4100]]}, "node entries"),
+        ({"nodes": [[], [0]], "branching_budget": 10**4100}, "budgets"),
+    )
+    for fields, clause in cases:
+        path = write(tmp_path, "tree.json", {"kind": "laver", **fields})
+        argv = ["poset", "--kind", "laver", "--op", "leq", "--a", path, "--b", path]
+        got, out, err = invoke(argv)
+        assert (got, out) == (2, "")
+        assert err.startswith(f"MalformedInput: laver {clause} must be below 10**4000")
+
+
 # ---------------------------------------------------------------------------
 # One rejection path: every refused input exits 2 with a clause name
 

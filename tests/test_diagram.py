@@ -3,9 +3,13 @@ knowledge base region-for-region, composition, and rendering."""
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cichon
 from cichon import (
     Contradiction,
     DiagramState,
@@ -170,6 +174,80 @@ def test_propagate_contradiction():
     assert result.chain[0] == "BIn" and result.chain[-1] == "DIn"
     for a, b in zip(result.chain, result.chain[1:]):
         assert (a, b) in EXPECTED_EDGES
+
+
+def brute_distances():
+    """Arrow-path length of every (start, end) pair joined by a path, a node
+    to itself included, by relaxing EXPECTED_EDGES to a fixpoint."""
+    dist = {(node, node): 0 for node in NODES}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in EXPECTED_EDGES:
+            for (start, end), d in list(dist.items()):
+                if end == a and d + 1 < dist.get((start, b), len(NODES)):
+                    dist[start, b] = d + 1
+                    changed = True
+    return dist
+
+
+def all_states():
+    for values in itertools.product(("empty", "nonempty", "unknown"), repeat=7):
+        yield DiagramState(dict(zip(REGION_NODES, values)))
+
+
+def test_propagate_matches_brute_force_on_every_state():
+    """A contradiction exactly when a nonempty node reaches an empty one,
+    with a shortest arrow path between them as its chain; otherwise the
+    closure nonempty-up, empty-down."""
+    dist = brute_distances()
+    contradictions = 0
+    for state in all_states():
+        given = state.emptiness
+        nonempty = {node for node in NODES if given[node] == "nonempty"}
+        empty = {node for node in NODES if given[node] == "empty"}
+        result = propagate(state)
+        if any((up, down) in dist for up in nonempty for down in empty):
+            contradictions += 1
+            assert isinstance(result, Contradiction)
+            chain = result.chain
+            assert given[chain[0]] == "nonempty" and given[result.node] == "empty"
+            assert chain[-1] == result.node
+            assert all(pair in EXPECTED_EDGES for pair in zip(chain, chain[1:]))
+            assert len(chain) - 1 == dist[chain[0], result.node]
+        else:
+            above = {end for start, end in dist if start in nonempty}
+            below = {start for start, end in dist if end in empty}
+            assert result.emptiness == {
+                node: "nonempty" if node in above else "empty" if node in below else "unknown"
+                for node in NODES
+            }
+    assert 0 < contradictions < 3**7
+
+
+SWEEP = """
+from test_diagram import all_states
+from cichon import propagate
+for state in all_states():
+    print(propagate(state))
+"""
+
+
+def test_propagate_independent_of_hash_seed():
+    """Which contradiction is reported, and its chain, do not depend on
+    set iteration order."""
+    paths = [os.path.dirname(os.path.dirname(cichon.__file__)), os.path.dirname(__file__)]
+    outputs = []
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", SWEEP],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(paths)},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        outputs.append(done.stdout.splitlines())
+    first, second = outputs
+    assert len(first) == len(second) == 3**7
+    assert [pair for pair in zip(first, second) if pair[0] != pair[1]] == []
 
 
 def test_propagate_idempotent_on_profiles():

@@ -1,6 +1,8 @@
 """Condition validity, the six orders, splitting machinery, and the
 fusion orders with their nesting law."""
 
+from collections import Counter
+
 import pytest
 
 from cichon import (
@@ -19,7 +21,8 @@ from cichon import (
     splitting_nodes,
     validate,
 )
-from cichon.errors import InvalidCondition, KindMismatch
+from cichon.combinatorics import MAX_NATURAL
+from cichon.errors import HorizonMismatch, InvalidCondition, KindMismatch, MalformedInput
 from cichon.posets import condition_from_obj, condition_to_obj
 from conftest import (
     make_cohen,
@@ -89,6 +92,17 @@ def test_validate_tree_uniform_leaves():
 def test_validate_chain_tree():
     chain = FiniteTree("sacks", frozenset({(), (0,), (0, 0)}))
     assert validate(chain) == []
+
+
+def test_tree_entries_below_max_natural():
+    """An entry of magnitude 10**4000 or more is malformed, so every node of
+    a tree that is built prints; a smaller negative entry is a violation."""
+    for kind, entry in (("sacks", 10**5000), ("laver", -(10**5000)), ("laver", MAX_NATURAL)):
+        with pytest.raises(MalformedInput, match=r"entries must be below 10\*\*4000"):
+            validate(FiniteTree(kind, {(), (entry,)}))
+    assert validate(FiniteTree("laver", {(), (MAX_NATURAL - 1,)})) == []
+    low = FiniteTree("laver", {(), (1 - MAX_NATURAL,)})
+    assert validate(low) == [f"natural alphabet violated at [{1 - MAX_NATURAL}]"]
 
 
 def test_validate_tree_alphabet():
@@ -186,6 +200,125 @@ def test_loc_prefix_agreement(rng):
         a = extend_loc(rng, b)
         assert leq("loc", a, b)
         assert a.prefix.cells[: b.prefix.horizon] == b.prefix.cells
+
+
+# ---------------------------------------------------------------------------
+# The stem-type orders against one definition per kind
+
+
+def ref_extends(longer, shorter):
+    return (
+        longer.horizon >= shorter.horizon
+        and longer.values[: shorter.horizon] == shorter.values
+    )
+
+
+def ref_family_contains(big, small):
+    members = {f.values for f in big}
+    return all(f.values in members for f in small)
+
+
+def ref_leq(kind, a, b):
+    """The cohen, hechler, e and loc orders, each written out on its own."""
+    if kind == "cohen":
+        return ref_extends(a.stem, b.stem)
+    if kind == "hechler":
+        if a.side.horizon != b.side.horizon:
+            raise HorizonMismatch("hechler sides live on different horizons")
+        if not ref_extends(a.stem, b.stem):
+            return False
+        new = range(b.stem.horizon, a.stem.horizon)
+        if any(a.stem[n] < b.side[n] for n in new):
+            return False
+        return all(a.side[n] >= b.side[n] for n in range(b.side.horizon))
+    if kind == "e":
+        if a.side.horizon != b.side.horizon:
+            raise HorizonMismatch("e-condition families live on different horizons")
+        if not ref_extends(a.stem, b.stem):
+            return False
+        if not ref_family_contains(a.side, b.side):
+            return False
+        new = range(b.stem.horizon, a.stem.horizon)
+        return all(a.stem[n] != f[n] for n in new for f in b.side)
+    if a.side.horizon != b.side.horizon:
+        raise HorizonMismatch("loc-condition families live on different horizons")
+    s, t = b.prefix, a.prefix
+    if t.horizon < s.horizon or t.cells[: s.horizon] != s.cells:
+        return False
+    if not ref_family_contains(a.side, b.side):
+        return False
+    new = range(s.horizon, t.horizon)
+    return all(f[n] in t[n] for n in new for f in b.side)
+
+
+def head_length(cond):
+    return cond.prefix.horizon if cond.kind == "loc" else cond.stem.horizon
+
+
+def mutate(rng, cond):
+    """cond with one head entry or side value redrawn, or one side member
+    dropped; None if that leaves no valid condition."""
+    obj = condition_to_obj(cond)
+    head = obj.get("stem", obj.get("prefix"))
+    side = obj.get("side", [])  # hechler's values, or a family's members
+    side = side["functions"] if isinstance(side, dict) else side
+    choice = rng.randrange(3)
+    if choice == 0 and head:
+        n = rng.randrange(len(head))
+        if cond.kind == "loc":
+            head[n] = sorted(set(head[n]) ^ {rng.randrange(4)})
+        else:
+            head[n] = rng.randrange(4)
+    elif choice == 1 and side and cond.kind == "hechler":
+        side[rng.randrange(len(side))] = rng.randrange(4)
+    elif choice == 1 and side:
+        member = rng.choice(side)
+        member[rng.randrange(len(member))] = rng.randrange(4)
+    elif choice == 2 and side and cond.kind != "hechler":
+        side.pop(rng.randrange(len(side)))
+    changed = condition_from_obj(obj)
+    return None if validate(changed) else changed
+
+
+def test_stem_orders_match_their_definitions(rng):
+    """Random valid pairs whose heads differ in length, a strengthening, its
+    reverse, or either with one entry changed, give the reference's answer."""
+    outcomes = Counter()
+    for kind, make, strengthen in _generators():
+        for _ in range(300):
+            b = make(rng, max_value=4)
+            a = strengthen(rng, b, max_value=4)
+            pairs = [(a, b), (b, a), (mutate(rng, a), b), (a, mutate(rng, b))]
+            for x, y in pairs:
+                if x is None or y is None or head_length(x) == head_length(y):
+                    continue
+                got = leq(kind, x, y)
+                assert got == ref_leq(kind, x, y), (kind, x, y)
+                outcomes[kind, got] += 1
+    for kind, _, _ in _generators():
+        assert outcomes[kind, True] >= 50 and outcomes[kind, False] >= 50, outcomes
+
+
+SIDE_HORIZON_MESSAGES = {
+    "hechler": "hechler sides live on different horizons",
+    "e": "e-condition families live on different horizons",
+    "loc": "loc-condition families live on different horizons",
+}
+
+
+def test_side_horizon_mismatch_messages(rng):
+    for kind, make, _ in _generators()[1:]:
+        checked = 0
+        while checked < 20:
+            a, b = make(rng), make(rng)
+            if a.side.horizon == b.side.horizon:
+                continue
+            with pytest.raises(HorizonMismatch) as want:
+                ref_leq(kind, a, b)
+            with pytest.raises(HorizonMismatch) as got:
+                leq(kind, a, b)
+            assert str(got.value) == str(want.value) == SIDE_HORIZON_MESSAGES[kind]
+            checked += 1
 
 
 # ---------------------------------------------------------------------------
