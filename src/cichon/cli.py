@@ -146,7 +146,8 @@ def _cmd_construct(args, out) -> int:
     if args.kind == "random-family":
         if args.seed is None or args.horizon is None or args.max_value < 1:
             raise MalformedInput("random-family needs --seed, --horizon, --max-value >= 1")
-        if args.count * args.horizon > comb.MAX_VALUES:
+        # a member costs a line of output even on horizon 0
+        if args.count * max(args.horizon, 1) > comb.MAX_VALUES:
             raise MalformedInput(f"--count x --horizon exceeds {comb.MAX_VALUES}")
         if args.horizon > comb.MAX_VALUES:  # what a family file may declare, members or not
             raise MalformedInput(f"--horizon {args.horizon} exceeds {comb.MAX_VALUES}")

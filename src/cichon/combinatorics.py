@@ -43,11 +43,14 @@ def _check_naturals(values, what):
     if long_ints and min(values) >= 0 and max(values) < MAX_NATURAL:
         return
     for v in values:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        if not isinstance(v, int) or isinstance(v, bool) or -MAX_NATURAL < v < 0:
             raise MalformedInput(f"{what} must be natural numbers, got {v!r}")
         if v >= MAX_NATURAL:
             bits = v.bit_length()
             raise MalformedInput(f"{what} must be below 10**4000, got a {bits}-bit value")
+        if v < 0:  # too long to print
+            bits = v.bit_length()
+            raise MalformedInput(f"{what} must be natural numbers, got a negative {bits}-bit value")
 
 
 def dump_json(obj, indent: str = "") -> str:

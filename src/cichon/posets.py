@@ -73,19 +73,18 @@ class FiniteTree:
     def __post_init__(self):
         budgets = (self.branching_budget, self.splitting_budget)
         _check_naturals([b for b in budgets if b is not None], f"{self.kind} budgets")
-        entries = list(chain.from_iterable(self.nodes))
         # before hashing: an array or object entry cannot be hashed
-        if not set(map(type, entries)) <= {int}:
+        if not set(map(type, chain.from_iterable(self.nodes))) <= {int}:
             raise MalformedInput(f"{self.kind} node entries must be natural numbers")
         # so every node prints; a smaller negative entry is an alphabet violation
-        if max(map(abs, set(entries)), default=0) >= MAX_NATURAL:
+        if max(map(abs, chain.from_iterable(self.nodes)), default=0) >= MAX_NATURAL:
             raise MalformedInput(f"{self.kind} node entries must be below 10**4000 in magnitude")
         object.__setattr__(self, "nodes", frozenset(map(tuple, self.nodes)))
 
     @property
     def depth(self) -> int:
         """Working depth: the maximal node length."""
-        return max((len(n) for n in self.nodes), default=0)
+        return max(map(len, self.nodes), default=0)
 
     @cached_property
     def _kids(self) -> dict[Node, list[Node]]:
@@ -128,7 +127,7 @@ class FiniteTree:
         return current
 
     def leaves(self) -> list[Node]:
-        return sorted(n for n in self.nodes if n not in self._kids)
+        return sorted(self.nodes - self._kids.keys())
 
 
 @dataclass(frozen=True)
@@ -150,24 +149,22 @@ Condition = CohenCond | HechlerCond | ECond | LocCond | FiniteTree | ProductCond
 def _validate_tree(t: FiniteTree) -> list[str]:
     if () not in t.nodes:
         return ["tree must contain the root"]
-    flagged = []
-    binary = t.kind == "sacks"
-    for node in t.nodes:
-        if node and node[:-1] not in t.nodes:
-            flagged.append((node, "not prefix-closed"))
-        if binary and any(v not in (0, 1) for v in node):
-            flagged.append((node, "binary alphabet violated"))
-        if t.kind == "laver" and any(v < 0 for v in node):
-            flagged.append((node, "natural alphabet violated"))
+    # a node breaks prefix closure iff its parent, a key of _kids, is missing
+    missing = t._kids.keys() - t.nodes
+    flagged = [(kid, "not prefix-closed") for parent in missing for kid in t._kids[parent]]
+    entries = set(chain.from_iterable(t.nodes))
+    if t.kind == "sacks" and not entries <= {0, 1}:
+        flagged += [(n, "binary alphabet violated") for n in t.nodes if not {0, 1}.issuperset(n)]
+    if t.kind == "laver" and min(entries, default=0) < 0:
+        flagged += [(n, "natural alphabet violated") for n in t.nodes if min(n, default=0) < 0]
     # node order, so the message does not depend on how the set was built
     flagged.sort(key=lambda item: item[0])
     out = [f"{clause} at {list(node)}" for node, clause in flagged]
-    depth = t.depth
-    for leaf in t.leaves():
-        if len(leaf) != depth:
-            out.append(
-                f"leaf {list(leaf)} at depth {len(leaf)} != working depth {depth}"
-            )
+    depth, leaves = t.depth, t.nodes - t._kids.keys()
+    if set(map(len, leaves)) != {depth}:
+        for leaf in sorted(leaves):
+            if len(leaf) != depth:
+                out.append(f"leaf {list(leaf)} at depth {len(leaf)} != working depth {depth}")
     if t.kind == "laver":
         if t.branching_budget is not None and t.branching_budget < 1:
             out.append("branching budget must be >= 1")
@@ -209,8 +206,12 @@ def validate(cond: Condition) -> list[str]:
     raise KindMismatch(f"not a condition: {type(cond).__name__}")
 
 
-def require_valid(cond: Condition) -> Condition:
-    """The condition itself, or InvalidCondition naming every violation."""
+def require_valid(cond: Condition, kind: str) -> Condition:
+    """The condition itself; else KindMismatch if it is not of the given
+    kind, or InvalidCondition naming every violation."""
+    got = getattr(cond, "kind", type(cond).__name__)
+    if got != kind:
+        raise KindMismatch(f"expected {kind!r} condition, got {got!r}")
     violations = validate(cond)
     if violations:
         raise InvalidCondition(violations)
@@ -220,10 +221,8 @@ def require_valid(cond: Condition) -> Condition:
 def _require(kind: str, a: Condition, b: Condition):
     if kind not in POSET_KINDS:
         raise KindMismatch(f"unknown poset kind {kind!r}")
-    for cond in (a, b):
-        if cond.kind != kind:
-            raise KindMismatch(f"expected {kind!r} condition, got {cond.kind!r}")
-        require_valid(cond)
+    require_valid(a, kind)
+    require_valid(b, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -272,23 +271,15 @@ def leq(kind: str, a: Condition, b: Condition) -> bool:
 
 def splitting_nodes(tree: FiniteTree, n: int) -> list[Node]:
     """Splitting nodes with exactly n splitting proper predecessors."""
-    if tree.kind != "sacks":
-        raise KindMismatch("splitting nodes are defined for sacks trees")
-    require_valid(tree)
+    require_valid(tree, "sacks")
     return sorted(node for node, level in tree._split_levels.items() if level == n)
 
 
 def canonical_enum(tree: FiniteTree) -> list[Node]:
     """Nodes strictly above the stem in length-then-lexicographic order."""
-    if tree.kind != "laver":
-        raise KindMismatch("the canonical enumeration is defined for laver trees")
-    require_valid(tree)
-    stem = tree.stem
-    above = [
-        node
-        for node in tree.nodes
-        if len(node) > len(stem) and node[: len(stem)] == stem
-    ]
+    # in a valid tree each length up to the stem's has one node, a stem prefix
+    height = len(require_valid(tree, "laver").stem)
+    above = [node for node in tree.nodes if len(node) > height]
     return sorted(above, key=lambda node: (len(node), node))
 
 

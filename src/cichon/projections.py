@@ -41,11 +41,12 @@ def _rank_outside(excluded: set[int], m: int) -> int | None:
     return m - sum(1 for x in excluded if x < m)
 
 
-def _require_liftable(c: LocCond, q) -> None:
-    """Both conditions valid and on one working horizon, and the lift's new
-    cells, n members at each new position n, at most MAX_VALUES in all."""
-    require_valid(c)
-    require_valid(q)
+def _require_liftable(c: LocCond, q, kind: str) -> None:
+    """c a valid loc condition and q a valid one of the given kind, both on
+    one working horizon, and the lift's new cells, n members at each new
+    position n, at most MAX_VALUES in all."""
+    require_valid(c, "loc")
+    require_valid(q, kind)
     if c.side.horizon != q.side.horizon:
         raise HorizonMismatch(
             f"working horizons differ: {c.side.horizon} vs {q.side.horizon}"
@@ -67,7 +68,7 @@ def proj_loc_to_d(c: LocCond) -> HechlerCond:
     into its new cell, so the new cell maximum reaches max F(n) but not
     the sum, and only the maximum makes the map order preserving.
     """
-    require_valid(c)
+    require_valid(c, "loc")
     fam = c.side
     stem = FinFunc(tuple(max(cell, default=0) for cell in c.prefix.cells))
     side = FinFunc(
@@ -90,7 +91,7 @@ def lift_loc_to_d(c: LocCond, q: HechlerCond) -> LocCond:
     q.side bounds every member, so the result strengthens c and projects
     back to q exactly.
     """
-    _require_liftable(c, q)
+    _require_liftable(c, q, "hechler")
     s, fam = c.prefix, c.side
     if len(fam) >= s.horizon:
         raise FamilyTooLarge(f"|F| = {len(fam)} must be < |s| = {s.horizon}")
@@ -123,7 +124,7 @@ def proj_loc_to_e(c: LocCond) -> ECond:
 
     The side family passes through unchanged.
     """
-    require_valid(c)
+    require_valid(c, "loc")
     s = c.prefix
     stem = []
     for n in range(s.horizon):
@@ -150,7 +151,7 @@ def lift_loc_to_e(c: LocCond, q: ECond) -> LocCond:
     untouched).  Keeping all padding above the stem value preserves its
     avoidance rank, so re-projection returns q's stem on its domain.
     """
-    _require_liftable(c, q)
+    _require_liftable(c, q, "e")
     s = c.prefix
     projected = proj_loc_to_e(c)
     if not leq("e", q, projected):
@@ -196,7 +197,7 @@ def reduce_e(q: ECond, from_position: int) -> ECond:
     value outside the side values there (rank 0); liftable values are
     kept.  The side family is untouched.
     """
-    require_valid(q)
+    require_valid(q, "e")
     stem = list(q.stem.values)
     for n in range(max(from_position, 0), len(stem)):
         side_values = {f[n] for f in q.side}

@@ -585,7 +585,7 @@ def test_resource_bounds(tmp_path):
     """random-family draws at most MAX_VALUES values, and a decoded family
     declares at most MAX_VALUES positions, members or not."""
     draw = ["construct", "--kind", "random-family", "--seed", "1"]
-    for count, horizon in (("1001", "1000"), ("4", str(10**12))):
+    for count, horizon in (("1001", "1000"), ("4", str(10**12)), ("1000001", "0")):
         code, out, err = invoke(draw + ["--count", count, "--horizon", horizon])
         assert (code, out) == (2, "")
         assert err.startswith("MalformedInput: ")

@@ -11,22 +11,31 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cichon import (
+    CohenCond,
     DiagramState,
     Family,
     FinFunc,
     FiniteTree,
+    LocCond,
     Slalom,
     WidthProfile,
     block_partition,
+    canonical_enum,
     family_report,
     fusion_leq,
     hit_count,
     least_threshold,
+    lift_loc_to_d,
+    lift_loc_to_e,
+    proj_loc_to_d,
+    proj_loc_to_e,
+    reduce_e,
+    splitting_nodes,
     string_of,
 )
 from cichon.combinatorics import MAX_NATURAL, _check_naturals, dump_json
 from cichon.diagram import REGION_NODES, _check_profile
-from cichon.errors import CichonError, HorizonMismatch, MalformedInput
+from cichon.errors import CichonError, HorizonMismatch, KindMismatch, MalformedInput
 
 def _equal_length_pair(n):
     row = st.lists(st.integers(0, 50), min_size=n, max_size=n)
@@ -91,6 +100,7 @@ def test_in_requires_slalom():
 
 F1 = FinFunc((1,))
 TREE = FiniteTree("sacks", frozenset({()}))
+LOC = LocCond(Slalom.identity_width([()]), Family((F1,), 1))
 # One call per kind of library refusal that is not a decoding error.
 LIBRARY_REFUSALS = {
     "relation-name": lambda: least_threshold("lt", F1, F1),
@@ -130,12 +140,28 @@ LIBRARY_REFUSALS = {
     "tree-string-entry": lambda: FiniteTree("laver", [[], ["a"]]),
     "tree-string-entry-unknown-kind": lambda: FiniteTree("foo", {(), ("a",), (0,)}),
     "tree-string-budget": lambda: FiniteTree("laver", [[]], branching_budget="x"),
+    "negative-long-value": lambda: FinFunc((-(10**5000),)),
+    "negative-long-width": lambda: WidthProfile((-(10**5000),)),
+    "kind-splitting-nodes": lambda: splitting_nodes(FiniteTree("laver", {()}), 0),
+    "kind-canonical-enum": lambda: canonical_enum(TREE),
+    "kind-proj-loc-to-d": lambda: proj_loc_to_d(CohenCond(F1)),
+    "kind-proj-loc-to-e": lambda: proj_loc_to_e(CohenCond(F1)),
+    "kind-lift-loc-to-d": lambda: lift_loc_to_d(LOC, TREE),
+    "kind-lift-loc-to-e": lambda: lift_loc_to_e(LOC, TREE),
+    "kind-reduce-e": lambda: reduce_e(TREE, 0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
 def test_library_refusals_are_cichon_errors(case):
     with pytest.raises(CichonError):
+        LIBRARY_REFUSALS[case]()
+
+
+@pytest.mark.parametrize("case", sorted(c for c in LIBRARY_REFUSALS if c.startswith("kind-")))
+def test_wrong_kind_is_kind_mismatch(case):
+    """Every operation on conditions refuses one of the wrong kind alike."""
+    with pytest.raises(KindMismatch, match="^expected '(sacks|laver|loc|hechler|e)' condition"):
         LIBRARY_REFUSALS[case]()
 
 
@@ -246,7 +272,7 @@ class Natural(int):
 
 
 INTS = st.integers(-3, 20) | st.sampled_from(
-    [MAX_NATURAL - 1, MAX_NATURAL, MAX_NATURAL + 1, -MAX_NATURAL]
+    [MAX_NATURAL - 1, MAX_NATURAL, MAX_NATURAL + 1, 1 - MAX_NATURAL, -MAX_NATURAL, -(10**5000)]
 )
 ENTRIES = st.one_of(
     INTS,
@@ -269,8 +295,11 @@ ENTRY_LISTS = st.lists(ENTRIES, max_size=6) | st.lists(INTS, max_size=30) | PLAN
 
 
 def definition_of_naturals(values, what):
-    """The message for the first entry that is not an int in [0, MAX_NATURAL)."""
+    """The message for the first entry that is not an int in [0, MAX_NATURAL);
+    an int of magnitude MAX_NATURAL or more is named by its bit length."""
     for v in values:
+        if isinstance(v, int) and not isinstance(v, bool) and v <= -MAX_NATURAL:
+            return f"{what} must be natural numbers, got a negative {v.bit_length()}-bit value"
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             return f"{what} must be natural numbers, got {v!r}"
         if v >= MAX_NATURAL:

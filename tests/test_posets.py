@@ -1,9 +1,15 @@
 """Condition validity, the six orders, splitting machinery, and the
 fusion orders with their nesting law."""
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
+
+import cichon
 
 from cichon import (
     CohenCond,
@@ -540,6 +546,39 @@ def test_tree_index_matches_oracle(rng):
             if validate(t):
                 with pytest.raises(InvalidCondition):
                     leq(t.kind, t, t)
+
+
+DAMAGED_VIOLATIONS = """
+import json, random
+from cichon import FiniteTree, validate
+from test_posets import damage, sample_trees
+rng = random.Random(7)
+for tree in sample_trees(rng):
+    bad = damage(rng, tree)
+    nodes = sorted(bad.nodes)
+    shapes = (nodes, nodes[::-1], frozenset(nodes))
+    print(json.dumps([validate(FiniteTree(bad.kind, s, bad.branching_budget)) for s in shapes]))
+"""
+
+
+def test_tree_violations_independent_of_node_order():
+    """The violations of a damaged tree, read off set differences of the
+    child index, come in one order whatever the hash seed and however the
+    nodes were given."""
+    paths = [os.path.dirname(os.path.dirname(cichon.__file__)), os.path.dirname(__file__)]
+    outputs = []
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", DAMAGED_VIOLATIONS],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(paths)},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    rows = [json.loads(line) for line in outputs[0].splitlines()]
+    assert len(rows) == 164
+    assert all(row[0] == row[1] == row[2] for row in rows)
+    assert sum(bool(row[0]) for row in rows) > 150
 
 
 def test_tree_tables_match_oracle(rng):
