@@ -220,11 +220,11 @@ def _cmd_project(args, out) -> int:
         project, lift, wanted = proj.proj_loc_to_d, proj.lift_loc_to_d, "hechler"
     else:
         project, lift, wanted = proj.proj_loc_to_e, proj.lift_loc_to_e, "e"
+    if args.reduce and (args.map_name != "loc-e" or target is None):
+        raise MalformedInput("--reduce applies to a loc-e lift only")
     if target is None:
         print(_dump(posets.condition_to_obj(project(cond))), file=out)
         return 0
-    if args.reduce and args.map_name == "loc-d":
-        raise MalformedInput("--reduce applies to the loc-e map only")
     if target.kind != wanted:
         raise MalformedInput(f"{args.map_name} lift needs a target of kind {wanted!r}")
     if args.reduce:

@@ -11,9 +11,11 @@ approximation grades, not extra order clauses.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 
 from .combinatorics import MAX_NATURAL, Family, FinFunc, Slalom, _check_naturals, _check_shape
 from .errors import HorizonMismatch, InvalidCondition, KindMismatch, MalformedInput
@@ -73,11 +75,14 @@ class FiniteTree:
     def __post_init__(self):
         budgets = (self.branching_budget, self.splitting_budget)
         _check_naturals([b for b in budgets if b is not None], f"{self.kind} budgets")
-        # before hashing: an array or object entry cannot be hashed
-        if not set(map(type, chain.from_iterable(self.nodes))) <= {int}:
+        try:  # before hashing: an array or object entry cannot be hashed
+            types = set(map(type, chain.from_iterable(self.nodes)))
+        except TypeError:
+            raise MalformedInput(f"{self.kind} nodes must be sequences") from None
+        if not types <= {int}:
             raise MalformedInput(f"{self.kind} node entries must be natural numbers")
         # so every node prints; a smaller negative entry is an alphabet violation
-        if max(map(abs, chain.from_iterable(self.nodes)), default=0) >= MAX_NATURAL:
+        if max(map(abs, self._entries), default=0) >= MAX_NATURAL:
             raise MalformedInput(f"{self.kind} node entries must be below 10**4000 in magnitude")
         object.__setattr__(self, "nodes", frozenset(map(tuple, self.nodes)))
 
@@ -87,47 +92,38 @@ class FiniteTree:
         return max(map(len, self.nodes), default=0)
 
     @cached_property
-    def _kids(self) -> dict[Node, list[Node]]:
-        """Sorted children of every node that has one, built in one pass."""
-        kids: dict[Node, list[Node]] = {}
-        for node in self.nodes:
-            if node:
-                kids.setdefault(node[:-1], []).append(node)
-        return {parent: sorted(row) for parent, row in kids.items()}
+    def _entries(self) -> frozenset[int]:
+        """The distinct node entries."""
+        return frozenset(chain.from_iterable(self.nodes))
+
+    @cached_property
+    def _fanout(self) -> Counter[Node]:
+        """Child count of every parent of a node: the tree's one index."""
+        return Counter(map(itemgetter(slice(None, -1)), self.nodes - {()}))
 
     @cached_property
     def _split_levels(self) -> dict[Node, int]:
-        """Splitting level (splitting proper predecessors) of each splitting node."""
-        levels: dict[Node, int] = {}
-        stack = [((), 0)] if () in self.nodes else []
-        while stack:
-            node, count = stack.pop()
-            kids = self._kids.get(node, ())
-            if len(kids) >= 2:
-                levels[node] = count
-                count += 1
-            stack.extend((kid, count) for kid in kids)
-        return levels
+        """Splitting level (splitting proper prefixes) of each splitting node."""
+        splits = {node for node, count in self._fanout.items() if count >= 2}
+        return {node: sum(node[:i] in splits for i in range(len(node))) for node in splits}
 
     @cached_property
     def _violations(self) -> tuple[str, ...]:
         return tuple(_validate_tree(self))
 
     def children(self, node: Node) -> list[Node]:
-        return list(self._kids.get(node, ()))
+        return sorted(kid for kid in self.nodes if kid and kid[:-1] == node)
 
     @property
     def stem(self) -> Node:
         """The maximal linearly ordered initial segment."""
         current: Node = ()
-        if current not in self.nodes:
-            return current
-        while len(kids := self._kids.get(current, ())) == 1:
-            current = kids[0]
+        while current in self.nodes and self._fanout[current] == 1:
+            (current,) = self.children(current)
         return current
 
     def leaves(self) -> list[Node]:
-        return sorted(self.nodes - self._kids.keys())
+        return sorted(self.nodes - self._fanout.keys())
 
 
 @dataclass(frozen=True)
@@ -149,18 +145,17 @@ Condition = CohenCond | HechlerCond | ECond | LocCond | FiniteTree | ProductCond
 def _validate_tree(t: FiniteTree) -> list[str]:
     if () not in t.nodes:
         return ["tree must contain the root"]
-    # a node breaks prefix closure iff its parent, a key of _kids, is missing
-    missing = t._kids.keys() - t.nodes
-    flagged = [(kid, "not prefix-closed") for parent in missing for kid in t._kids[parent]]
-    entries = set(chain.from_iterable(t.nodes))
-    if t.kind == "sacks" and not entries <= {0, 1}:
+    # a node breaks prefix closure iff its parent, a key of _fanout, is missing
+    missing = t._fanout.keys() - t.nodes
+    flagged = [(n, "not prefix-closed") for n in t.nodes if n[:-1] in missing] if missing else []
+    if t.kind == "sacks" and not t._entries <= {0, 1}:
         flagged += [(n, "binary alphabet violated") for n in t.nodes if not {0, 1}.issuperset(n)]
-    if t.kind == "laver" and min(entries, default=0) < 0:
+    if t.kind == "laver" and min(t._entries, default=0) < 0:
         flagged += [(n, "natural alphabet violated") for n in t.nodes if min(n, default=0) < 0]
     # node order, so the message does not depend on how the set was built
     flagged.sort(key=lambda item: item[0])
     out = [f"{clause} at {list(node)}" for node, clause in flagged]
-    depth, leaves = t.depth, t.nodes - t._kids.keys()
+    depth, leaves = t.depth, t.nodes - t._fanout.keys()
     if set(map(len, leaves)) != {depth}:
         for leaf in sorted(leaves):
             if len(leaf) != depth:
@@ -196,12 +191,13 @@ def validate(cond: Condition) -> list[str]:
         return list(cond._violations)
     if isinstance(cond, ProductCond):
         out = []
-        if cond.sacks_part.kind != "sacks":
+        if getattr(cond.sacks_part, "kind", None) != "sacks":
             out.append("first component must be a sacks tree")
-        if cond.laver_part.kind != "laver":
+        if getattr(cond.laver_part, "kind", None) != "laver":
             out.append("second component must be a laver tree")
-        out.extend(cond.sacks_part._violations)
-        out.extend(cond.laver_part._violations)
+        for part in (cond.sacks_part, cond.laver_part):
+            if isinstance(part, FiniteTree):
+                out.extend(part._violations)
         return out
     raise KindMismatch(f"not a condition: {type(cond).__name__}")
 
@@ -277,8 +273,10 @@ def splitting_nodes(tree: FiniteTree, n: int) -> list[Node]:
 
 def canonical_enum(tree: FiniteTree) -> list[Node]:
     """Nodes strictly above the stem in length-then-lexicographic order."""
-    # in a valid tree each length up to the stem's has one node, a stem prefix
-    height = len(require_valid(tree, "laver").stem)
+    # in a valid tree each length up to the stem's has one node, a stem prefix,
+    # and the stem is the shortest splitting node, or the leaf of a chain
+    fanout = require_valid(tree, "laver")._fanout
+    height = min((len(node) for node, count in fanout.items() if count >= 2), default=tree.depth)
     above = [node for node in tree.nodes if len(node) > height]
     return sorted(above, key=lambda node: (len(node), node))
 

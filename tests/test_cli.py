@@ -372,7 +372,9 @@ def test_project_lift_pair_file(tmp_path):
     assert json.loads(out)["reprojection"]["stem"] == [0, 2, 9, 9]
 
 
-def test_project_reduce_rejected_for_loc_d(tmp_path):
+@pytest.mark.parametrize("map_name, lift", [("loc-d", True), ("loc-d", False), ("loc-e", False)])
+def test_project_reduce_rejected_for_loc_d(tmp_path, map_name, lift):
+    """--reduce applies to a loc-e lift only, and is never ignored."""
     cond = write(
         tmp_path,
         "c.json",
@@ -381,10 +383,12 @@ def test_project_reduce_rejected_for_loc_d(tmp_path):
     target = write(
         tmp_path, "q.json", {"kind": "hechler", "stem": [0], "side": [1, 1]}
     )
-    code, _, err = invoke(
-        ["project", "--map", "loc-d", "--cond", cond, "--lift", target, "--reduce"]
+    code, out, err = invoke(
+        ["project", "--map", map_name, "--cond", cond, "--reduce"]
+        + (["--lift", target] if lift else [])
     )
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert err == "MalformedInput: --reduce applies to a loc-e lift only\n"
 
 
 def test_kb_list():

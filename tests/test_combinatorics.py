@@ -17,6 +17,7 @@ from cichon import (
     FinFunc,
     FiniteTree,
     LocCond,
+    ProductCond,
     Slalom,
     WidthProfile,
     block_partition,
@@ -25,6 +26,7 @@ from cichon import (
     fusion_leq,
     hit_count,
     least_threshold,
+    leq,
     lift_loc_to_d,
     lift_loc_to_e,
     proj_loc_to_d,
@@ -101,6 +103,7 @@ def test_in_requires_slalom():
 F1 = FinFunc((1,))
 TREE = FiniteTree("sacks", frozenset({()}))
 LOC = LocCond(Slalom.identity_width([()]), Family((F1,), 1))
+COHEN_PRODUCT = ProductCond(CohenCond(FinFunc(())), FiniteTree("laver", {()}))
 # One call per kind of library refusal that is not a decoding error.
 LIBRARY_REFUSALS = {
     "relation-name": lambda: least_threshold("lt", F1, F1),
@@ -140,6 +143,9 @@ LIBRARY_REFUSALS = {
     "tree-string-entry": lambda: FiniteTree("laver", [[], ["a"]]),
     "tree-string-entry-unknown-kind": lambda: FiniteTree("foo", {(), ("a",), (0,)}),
     "tree-string-budget": lambda: FiniteTree("laver", [[]], branching_budget="x"),
+    "tree-nodes-number": lambda: FiniteTree("sacks", 5),
+    "tree-node-number": lambda: FiniteTree("sacks", [5]),
+    "product-of-cohen": lambda: leq("product", COHEN_PRODUCT, COHEN_PRODUCT),
     "negative-long-value": lambda: FinFunc((-(10**5000),)),
     "negative-long-width": lambda: WidthProfile((-(10**5000),)),
     "kind-splitting-nodes": lambda: splitting_nodes(FiniteTree("laver", {()}), 0),

@@ -116,6 +116,15 @@ def test_validate_tree_alphabet():
     assert any("binary" in v for v in validate(bad))
 
 
+def test_validate_product_non_tree_part():
+    cohen, laver = CohenCond(FinFunc(())), FiniteTree("laver", {()})
+    assert validate(ProductCond(cohen, laver)) == ["first component must be a sacks tree"]
+    assert validate(ProductCond(laver, cohen)) == [
+        "first component must be a sacks tree",
+        "second component must be a laver tree",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Orders
 
@@ -519,6 +528,15 @@ def sample_trees(rng):
     return trees
 
 
+# Where a fan-out count goes wrong by one: the root, whose [:-1] is itself,
+# and nodes whose parent is missing.
+EDGE_TREES = [
+    FiniteTree(kind, nodes)
+    for nodes in ({()}, set(), {(), (0,)}, {(), (0,), (0, 1), (0, 1, 1)}, {(0,)}, {(), (0, 0)})
+    for kind in ("sacks", "laver")
+]
+
+
 def damage(rng, tree):
     """An invalid variant: some nodes dropped (breaking prefix closure or
     leaf depth) and some off-alphabet nodes added."""
@@ -531,21 +549,21 @@ def damage(rng, tree):
 
 
 def test_tree_index_matches_oracle(rng):
-    for tree in sample_trees(rng):
-        for t in (tree, damage(rng, tree)):
-            brute = BruteTree(t)
-            for node, kids in brute.kids.items():
-                assert t.children(node) == kids
-            absent = [node + (7,) for node in sorted(t.nodes)[:5]] + [(0,) * 11]
-            absent += {node[:-1] for node in t.nodes if node} - t.nodes
-            for node in absent:
-                assert t.children(node) == oracle_children(t, node)
-            assert t.leaves() == brute.leaves()
-            assert t.stem == brute.stem()
-            assert validate(t) == brute.validate()
-            if validate(t):
-                with pytest.raises(InvalidCondition):
-                    leq(t.kind, t, t)
+    trees = [t for tree in sample_trees(rng) for t in (tree, damage(rng, tree))]
+    for t in trees + EDGE_TREES:
+        brute = BruteTree(t)
+        for node, kids in brute.kids.items():
+            assert t.children(node) == kids
+        absent = [node + (7,) for node in sorted(t.nodes)[:5]] + [(0,) * 11]
+        absent += {node[:-1] for node in t.nodes if node} - t.nodes
+        for node in absent:
+            assert t.children(node) == oracle_children(t, node)
+        assert t.leaves() == brute.leaves()
+        assert t.stem == brute.stem()
+        assert validate(t) == brute.validate()
+        if validate(t):
+            with pytest.raises(InvalidCondition):
+                leq(t.kind, t, t)
 
 
 DAMAGED_VIOLATIONS = """
@@ -582,9 +600,12 @@ def test_tree_violations_independent_of_node_order():
 
 
 def test_tree_tables_match_oracle(rng):
-    for t in sample_trees(rng):
+    for t in sample_trees(rng) + EDGE_TREES:
         brute = BruteTree(t)
-        if t.kind == "sacks":
+        if brute.validate():
+            with pytest.raises(InvalidCondition):
+                splitting_nodes(t, 0) if t.kind == "sacks" else canonical_enum(t)
+        elif t.kind == "sacks":
             for n in range(t.depth + 2):
                 assert splitting_nodes(t, n) == brute.splitting(n)
         else:
