@@ -6,6 +6,11 @@ violated precondition: a `CichonError` (a wrong shape or type in a file is
 `MalformedInput`, checked where it is decoded) or an unreadable file's
 `OSError`, printed on stderr as `<clause>: <message>`, or argparse's usage
 text.  Outputs are byte-identical across runs on identical inputs.
+
+The parsers are built once per process.  Each call is parsed once, by its
+verb's parser; the top-level parser words only top-level help and the usage
+errors no verb parser can: a missing or unknown verb, an option before the
+verb, and leftover arguments.
 """
 
 from __future__ import annotations
@@ -53,7 +58,8 @@ def _natural(text: str) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its verb parsers by name, built once."""
     parser = argparse.ArgumentParser(
         prog="cichon",
         description="Finite-scale combinatorics of the Cichon diagram.",
@@ -96,7 +102,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kb", help="list the forcing knowledge base")
     p.add_argument("--list", action="store_true")
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The top-level parser's `parse_args(argv)`, in one pass.
+
+    That call would hand everything after the verb to the verb's parser and
+    copy its namespace back, so a leading verb goes straight to its parser.
+    """
+    parser, verbs = _build_parser()
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is None:
+        return parser.parse_args(argv)
+    args, extras = verb.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.verb = argv[0]
+    return args
 
 
 def _cmd_diagram(args, out) -> int:
@@ -151,6 +174,8 @@ def _cmd_construct(args, out) -> int:
             raise MalformedInput(f"--count x --horizon exceeds {comb.MAX_VALUES}")
         if args.horizon > comb.MAX_VALUES:  # what a family file may declare, members or not
             raise MalformedInput(f"--horizon {args.horizon} exceeds {comb.MAX_VALUES}")
+        if args.max_value > comb.MAX_NATURAL:  # draws stay below --max-value
+            raise MalformedInput("--max-value exceeds 10**4000")
         rng = random.Random(args.seed)
         functions = [
             [rng.randrange(args.max_value) for _ in range(args.horizon)]
@@ -269,7 +294,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     streams = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = out, err
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     finally:

@@ -1,5 +1,6 @@
 """CLI contract: verbs, JSON/DOT payloads, determinism, and exit codes."""
 
+import contextlib
 import io
 import json
 import os
@@ -8,12 +9,12 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import cichon
 from cichon import Family, ProductCond, errors
-from cichon.cli import run
+from cichon.cli import _build_parser, _parse, run
 from cichon.combinatorics import MAX_NATURAL
 from cichon.posets import POSET_KINDS, condition_to_obj
 from conftest import make_laver, make_sacks, prune_tree
@@ -402,13 +403,19 @@ def test_kb_list():
 
 
 def test_unknown_verb_rejected():
-    code, _, _ = invoke(["frobnicate"])
-    assert code == 2
+    code, out, err = invoke(["frobnicate"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: cichon [-h] ")
+    last = err.splitlines()[-1]
+    assert last.startswith("cichon: error: argument verb: invalid choice: 'frobnicate'")
 
 
 def test_unknown_flag_rejected():
-    code, _, _ = invoke(["cuts", "--nope"])
-    assert code == 2
+    """A verb's leftover argument is worded by the top-level parser."""
+    code, out, err = invoke(["cuts", "--nope"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: cichon [-h] ")
+    assert err.endswith("\ncichon: error: unrecognized arguments: --nope\n")
 
 
 def test_usage_goes_to_the_given_streams(capsys):
@@ -628,6 +635,91 @@ def test_random_family_horizon_bound():
     code, out, _ = invoke(draw + ["--horizon", "1000000"])
     assert code == 0
     assert Family.from_obj(json.loads(out)).horizon == 10**6
+
+
+def test_random_family_value_bound(tmp_path):
+    """random-family draws no value that a family file may not hold."""
+    draw = ["construct", "--kind", "random-family", "--seed", "1", "--horizon", "2"]
+    code, out, err = invoke(draw + ["--count", "1", "--max-value", str(10**4100)])
+    assert (code, out) == (2, "")
+    assert err == "MalformedInput: --max-value exceeds 10**4000\n"
+    code, out, _ = invoke(draw + ["--max-value", str(MAX_NATURAL)])
+    assert code == 0
+    fam = write(tmp_path, "fam.json", json.loads(out))
+    assert invoke(["construct", "--kind", "ioe", "--family", fam])[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# The verb-first parse against the full parser as reference
+
+PARSER, VERBS = _build_parser()
+NOISE = ("-h", "--help", "--he", "--", "--nope", "-x", "-1", "x", "frobnicate", "cuts")
+
+
+def _flat(*groups):
+    return [token for group in groups for part in group for token in part]
+
+
+def _verb_argvs(verb):
+    """`verb` with its options in any order, some left out, each written
+    whole, abbreviated or as `--opt=value`, with stray tokens mixed in."""
+    options = []
+    for action in VERBS[verb]._actions[1:]:  # after -h
+        word = st.sampled_from(action.option_strings) | st.builds(
+            lambda o, k: o[:k], st.sampled_from(action.option_strings), st.integers(3, 8)
+        )
+        value = st.sampled_from(action.choices or ("0", "3", "-1", "x.json"))
+        whole = word.map(lambda w: [w]) if action.nargs == 0 else st.builds(
+            lambda w, v: [w, v], word, value
+        )
+        options.append(whole | st.builds(lambda w, v: [f"{w}={v}"], word, value))
+    noise = st.sampled_from(NOISE).map(lambda token: [token])
+    every = st.tuples(*options).flatmap(st.permutations)
+    some = st.lists(st.one_of(*options, noise), max_size=6)
+    return st.builds(
+        lambda a, b: [verb] + _flat(a, b), every | some, st.lists(noise, max_size=2)
+    )
+
+
+PARSE_ARGVS = st.one_of(
+    *map(_verb_argvs, sorted(VERBS)),
+    # options before the verb, or no or an unknown verb
+    st.builds(
+        lambda before, verb, after: before + verb + after,
+        st.lists(st.sampled_from(NOISE), max_size=2),
+        st.sampled_from(([], ["frobnicate"], ["cuts"], ["check"])),
+        st.lists(st.sampled_from(NOISE), max_size=3),
+    ),
+)
+
+
+def _parsed(parse, argv):
+    """The namespace `parse` returns or its exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(PARSE_ARGVS)
+@example([])
+@example(["frobnicate"])
+@example(["cuts", "--nope"])
+@example(["-h", "cuts"])
+@example(["cuts", "--help"])
+@example(["--", "cuts"])
+@example(["cuts", "--", "--format", "json"])
+@example(["poset", "--n", "-1", "--kind=sacks", "--op", "fusion", "--a", "a", "--b", "b"])
+@example(["check", "--rel", "leq", "--f", "a", "--g", "b", "x", "--nope"])
+@example(["construct", "--kind", "random-family", "--max=3"])
+def test_verb_first_parse_matches_the_full_parser(argv):
+    """`_parse` gives the namespace the top-level parser's `parse_args`
+    gives, or exits with the same code and the same output."""
+    assert _parsed(_parse, argv) == _parsed(PARSER.parse_args, argv)
 
 
 # ---------------------------------------------------------------------------
