@@ -217,6 +217,8 @@ def _cmd_poset(args, out) -> int:
             raise MalformedInput("fusion comparison needs --n")
         holds = posets.fusion_leq(args.kind, a, b, args.n)
     else:
+        if args.n is not None:
+            raise MalformedInput("--n applies to --op fusion only")
         holds = posets.leq(args.kind, a, b)
     payload = {"kind": args.kind, "op": args.op, "holds": holds}
     if args.op == "fusion":
@@ -239,21 +241,17 @@ def _cmd_project(args, out) -> int:
         cond = posets.condition_from_obj(raw)
         if args.lift is not None:
             target = posets.condition_from_obj(_load_json(args.lift))
-    if not isinstance(cond, posets.LocCond):
-        raise MalformedInput("--cond must be a localization condition")
     if args.map_name == "loc-d":
-        project, lift, wanted = proj.proj_loc_to_d, proj.lift_loc_to_d, "hechler"
+        project, lift = proj.proj_loc_to_d, proj.lift_loc_to_d
     else:
-        project, lift, wanted = proj.proj_loc_to_e, proj.lift_loc_to_e, "e"
+        project, lift = proj.proj_loc_to_e, proj.lift_loc_to_e
     if args.reduce and (args.map_name != "loc-e" or target is None):
         raise MalformedInput("--reduce applies to a loc-e lift only")
     if target is None:
         print(_dump(posets.condition_to_obj(project(cond))), file=out)
         return 0
-    if target.kind != wanted:
-        raise MalformedInput(f"{args.map_name} lift needs a target of kind {wanted!r}")
     if args.reduce:
-        target = proj.reduce_e(target, cond.prefix.horizon)
+        target = proj.reduce_e(target, posets.require_valid(cond, "loc").prefix.horizon)
     lifted = lift(cond, target)
     payload = {
         "lift": posets.condition_to_obj(lifted),

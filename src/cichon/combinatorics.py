@@ -143,9 +143,9 @@ class WidthProfile:
 class Slalom:
     """A sequence of finite sets of naturals with a width profile.
 
-    Soundness (|cells(n)| <= width(n) everywhere) is not enforced at
-    construction, so invariant-violating inputs stay representable for
-    validation; library constructors only ever build sound slaloms.
+    Soundness (|cells(n)| <= width(n) everywhere) is not checked, at
+    construction or by any later operation: an unsound slalom is taken as
+    given.  Library constructors only ever build sound slaloms.
     """
 
     cells: tuple[frozenset[int], ...]
@@ -203,6 +203,9 @@ class Family:
 
     def __post_init__(self):
         object.__setattr__(self, "functions", tuple(self.functions))
+        _check_naturals((self.horizon,), "family horizon")
+        if self.horizon > MAX_VALUES:
+            raise MalformedInput(f"family horizon {self.horizon} exceeds {MAX_VALUES}")
         for f in self.functions:
             if f.horizon != self.horizon:
                 raise HorizonMismatch(
@@ -224,12 +227,8 @@ class Family:
     @classmethod
     def from_obj(cls, obj) -> "Family":
         _check_shape(obj, dict, "family", ("horizon", "functions"))
-        horizon = obj["horizon"]
-        _check_naturals((horizon,), "family horizon")
-        if horizon > MAX_VALUES:
-            raise MalformedInput(f"family horizon {horizon} exceeds {MAX_VALUES}")
         functions = _check_shape(obj["functions"], list, "family functions")
-        return cls(tuple(FinFunc.from_obj(f) for f in functions), horizon)
+        return cls(tuple(FinFunc.from_obj(f) for f in functions), obj["horizon"])
 
 
 @dataclass(frozen=True)

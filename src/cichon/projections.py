@@ -15,7 +15,6 @@ from .combinatorics import MAX_VALUES, Family, FinFunc, Slalom
 from .errors import (
     FamilyTooLarge,
     GrowthTooSmall,
-    HorizonMismatch,
     MalformedInput,
     NotBelowProjection,
     RankTooLarge,
@@ -42,15 +41,11 @@ def _rank_outside(excluded: set[int], m: int) -> int | None:
 
 
 def _require_liftable(c: LocCond, q, kind: str) -> None:
-    """c a valid loc condition and q a valid one of the given kind, both on
-    one working horizon, and the lift's new cells, n members at each new
-    position n, at most MAX_VALUES in all."""
+    """c a valid loc condition and q a valid one of the given kind, and the
+    lift's new cells, n members at each new position n, at most MAX_VALUES
+    in all.  The order against the projection checks the working horizons."""
     require_valid(c, "loc")
     require_valid(q, kind)
-    if c.side.horizon != q.side.horizon:
-        raise HorizonMismatch(
-            f"working horizons differ: {c.side.horizon} vs {q.side.horizon}"
-        )
     members = sum(range(c.prefix.horizon, q.stem.horizon))
     if members > MAX_VALUES:
         raise MalformedInput(f"lift needs {members} new cell members, over {MAX_VALUES}")
@@ -97,12 +92,10 @@ def lift_loc_to_d(c: LocCond, q: HechlerCond) -> LocCond:
         raise FamilyTooLarge(f"|F| = {len(fam)} must be < |s| = {s.horizon}")
     if not leq("hechler", q, proj_loc_to_d(c)):
         raise NotBelowProjection("target does not strengthen the projection")
-    new_positions = range(s.horizon, q.stem.horizon)
-    for n in new_positions:
+    cells = list(s.cells)
+    for n in range(s.horizon, q.stem.horizon):
         if q.stem[n] < n - 1:
             raise GrowthTooSmall(f"stem({n}) = {q.stem[n]} < {n} - 1")
-    cells = list(s.cells)
-    for n in new_positions:
         cell = {f[n] for f in fam} | {q.stem[n]}
         v = 0
         while len(cell) < n:
@@ -140,9 +133,10 @@ def lift_loc_to_e(c: LocCond, q: ECond) -> LocCond:
     """Lift an eventually-different strengthening back to localization.
 
     Preconditions: q strengthens proj_loc_to_e(c); the side family stays
-    smaller than every new position; and at each new position n the stem
-    value's rank among naturals avoiding the side values is below n (the
-    mod-n residue cannot encode a larger rank).
+    smaller than every new position, and no larger than |s| if there is
+    none; and at each new position n the stem value's rank among naturals
+    avoiding the side values is below n (the mod-n residue cannot encode a
+    larger rank).
 
     At a new position n the cell collects the side values and is padded
     up to n members with values strictly above max(stem value, side
@@ -153,17 +147,12 @@ def lift_loc_to_e(c: LocCond, q: ECond) -> LocCond:
     """
     _require_liftable(c, q, "e")
     s = c.prefix
-    projected = proj_loc_to_e(c)
-    if not leq("e", q, projected):
+    if not leq("e", q, proj_loc_to_e(c)):
         raise NotBelowProjection("target does not strengthen the projection")
     new_positions = range(s.horizon, q.stem.horizon)
-    for n in new_positions:
-        if len(q.side) >= n:
-            raise FamilyTooLarge(
-                f"|side| = {len(q.side)} must be < new position {n}"
-            )
-    if not new_positions and len(q.side) > s.horizon:
-        raise FamilyTooLarge(f"|side| = {len(q.side)} must be <= |s| = {s.horizon}")
+    if len(q.side) > s.horizon - bool(new_positions):  # the least new position is |s|
+        cap = f"< new position {s.horizon}" if new_positions else f"<= |s| = {s.horizon}"
+        raise FamilyTooLarge(f"|side| = {len(q.side)} must be {cap}")
     cells = list(s.cells)
     for n in new_positions:
         m = q.stem[n]

@@ -728,6 +728,7 @@ def test_verb_first_parse_matches_the_full_parser(argv):
 
 LEQ = ["poset", "--kind", "{kind}", "--op", "leq", "--a", "{a}", "--b", "{b}"]
 LIFT = ["project", "--map", "loc-d", "--cond", "{a}", "--lift", "{b}"]
+LIFT_E = ["project", "--map", "loc-e", "--cond", "{a}", "--lift", "{b}"]
 
 
 def _loc(prefix, horizon, functions=()):
@@ -753,6 +754,10 @@ BRANCHES = {
         LEQ, _loc([[], []], 1), _loc([[], []], 1), 2,
         "InvalidCondition: |s| <= side horizon",
     ),
+    "leq-with-n": (
+        LEQ + ["--n", "3"], ROOT_ONLY, ROOT_ONLY, 2,
+        "MalformedInput: --n applies to --op fusion only",
+    ),
     "product-swapped": (
         LEQ, SWAPPED, SWAPPED, 2, "InvalidCondition: first component must be a sacks tree; ",
     ),
@@ -765,9 +770,20 @@ BRANCHES = {
     ),
     "project-pair-and-lift": (LIFT, {"loc": _loc([[]], 1)}, HECHLER, 2, "MalformedInput: "),
     "project-non-loc": (
-        ["project", "--map", "loc-d", "--cond", "{a}"], HECHLER, None, 2, "MalformedInput: ",
+        ["project", "--map", "loc-d", "--cond", "{a}"], HECHLER, None, 2,
+        "KindMismatch: expected 'loc' condition, got 'hechler'",
     ),
-    "project-lift-wrong-kind": (LIFT, _loc([[]], 1), _e(1), 2, "MalformedInput: "),
+    "project-lift-wrong-kind": (
+        LIFT, _loc([[]], 1), _e(1), 2, "KindMismatch: expected 'hechler' condition, got 'e'",
+    ),
+    "project-lift-d-horizons": (
+        LIFT, _loc([[]], 2), HECHLER, 2,
+        "HorizonMismatch: hechler sides live on different horizons",
+    ),
+    "project-lift-e-horizons": (
+        LIFT_E, _loc([[]], 2), _e(1), 2,
+        "HorizonMismatch: e-condition families live on different horizons",
+    ),
     "check-in-width-length": (
         ["check", "--relation", "in", "--f", "{a}", "--g", "{b}"],
         [0], {"cells": [[0]], "width": [1, 1]}, 2, "HorizonMismatch: ",

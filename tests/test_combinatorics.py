@@ -146,6 +146,9 @@ LIBRARY_REFUSALS = {
     "tree-nodes-number": lambda: FiniteTree("sacks", 5),
     "tree-node-number": lambda: FiniteTree("sacks", [5]),
     "product-of-cohen": lambda: leq("product", COHEN_PRODUCT, COHEN_PRODUCT),
+    "family-negative-horizon": lambda: Family((), -1),
+    "family-string-horizon": lambda: Family((), "x"),
+    "family-huge-horizon": lambda: Family((), 10**7),
     "negative-long-value": lambda: FinFunc((-(10**5000),)),
     "negative-long-width": lambda: WidthProfile((-(10**5000),)),
     "kind-splitting-nodes": lambda: splitting_nodes(FiniteTree("laver", {()}), 0),
@@ -244,6 +247,20 @@ def test_family_report_evading_example():
     report = family_report("eq", FinFunc((5, 7)), fam, "evading")
     assert report.hits == (1, 1)
     assert report.min_hits == 1
+
+
+@given(st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), max_size=4),
+       st.lists(st.sets(st.integers(0, 3)), min_size=4, max_size=4))
+def test_family_report_in_evading_matches_hit_counts(rows, cells):
+    """Evading mode under `in` counts, per member, the positions whose value
+    lies in the slalom's cell there."""
+    family = Family(tuple(FinFunc(tuple(row)) for row in rows), 4)
+    sigma = Slalom(tuple(map(frozenset, cells)), WidthProfile((4,) * 4))
+    report = family_report("in", sigma, family, "evading")
+    hits = tuple(sum(row[l] in cells[l] for l in range(4)) for row in rows)
+    assert report.hits == hits
+    assert report.min_hits == min(hits, default=math.inf)
+    assert (report.thresholds, report.max_threshold) == (None, 0)
 
 
 def test_family_json_round_trip():

@@ -676,6 +676,7 @@ def test_laver_fusion_counts_canonical_nodes():
 
 
 def test_condition_json_round_trip(rng):
+    budgeted = FiniteTree("laver", make_laver(rng).nodes, branching_budget=3, splitting_budget=2)
     conditions = [
         make_cohen(rng),
         make_hechler(rng),
@@ -683,10 +684,12 @@ def test_condition_json_round_trip(rng):
         make_loc(rng),
         make_sacks(rng),
         make_laver(rng),
+        budgeted,
         ProductCond(make_sacks(rng), make_laver(rng)),
     ]
     for cond in conditions:
         assert condition_from_obj(condition_to_obj(cond)) == cond
+    assert condition_to_obj(budgeted)["splitting_budget"] == 2
 
 
 def test_condition_json_rejects_unknown_kind():

@@ -1,5 +1,7 @@
 """Projection formulas, lift laws, the repair step, and the parity map."""
 
+from collections import Counter
+
 import pytest
 
 from cichon import (
@@ -18,14 +20,20 @@ from cichon import (
     reduce_e,
     validate,
 )
+from cichon.combinatorics import MAX_VALUES
 from cichon.errors import (
+    CichonError,
     FamilyTooLarge,
     GrowthTooSmall,
+    HorizonMismatch,
+    InvalidCondition,
     MalformedInput,
     NotBelowProjection,
     RankTooLarge,
 )
+from cichon.posets import condition_from_obj, condition_to_obj
 from conftest import make_liftable_d, make_liftable_e
+from test_posets import ref_leq
 
 
 def loc(cells, functions, horizon):
@@ -208,6 +216,18 @@ def test_lift_e_family_too_large():
         lift_loc_to_e(c, q)
 
 
+def test_lift_e_family_too_large_without_new_positions():
+    """With no new position the side may hold up to |s| members, one more
+    is refused."""
+    c = loc([[], [0]], [], 4)
+    members = [FinFunc((v,) * 4) for v in (7, 8, 9)]
+    q = ECond(FinFunc((0, 1)), Family(tuple(members[:2]), 4))
+    assert lift_loc_to_e(c, q) == LocCond(c.prefix, q.side)
+    q = ECond(FinFunc((0, 1)), Family(tuple(members), 4))
+    with pytest.raises(FamilyTooLarge, match=r"^\|side\| = 3 must be <= \|s\| = 2$"):
+        lift_loc_to_e(c, q)
+
+
 def test_lift_e_not_below():
     c = loc([[], [0]], [], 4)
     q = ECond(FinFunc((1, 1, 0)), Family((), 4))
@@ -223,6 +243,158 @@ def test_lift_e_randomized_laws(rng):
         assert leq("loc", lifted, c)
         reproj = proj_loc_to_e(lifted)
         assert reproj.stem.values[: q.stem.horizon] == q.stem.values
+
+
+# ---------------------------------------------------------------------------
+# Lift preconditions against a brute-force oracle
+
+
+def test_lift_target_on_another_working_horizon():
+    """The order against the projection refuses a target whose side lives
+    on another horizon; in the loc-d lift, |F| < |s| is checked first."""
+    c = loc([[], [0]], [], 4)
+    with pytest.raises(HorizonMismatch, match="^hechler sides live on different horizons$"):
+        lift_loc_to_d(c, HechlerCond(FinFunc((0, 0)), FinFunc((0,) * 5)))
+    with pytest.raises(HorizonMismatch, match="^e-condition families live on different"):
+        lift_loc_to_e(c, ECond(FinFunc((0, 1)), Family((), 5)))
+    full = loc([[], [0]], [[0] * 4, [1] * 4], 4)
+    with pytest.raises(FamilyTooLarge):
+        lift_loc_to_d(full, HechlerCond(FinFunc((0, 0)), FinFunc((1,) * 5)))
+
+
+def brute_proj_d(c):
+    """The loc-d projection, written out on its own."""
+    fam = c.side
+    stem = [max(cell, default=0) for cell in c.prefix.cells]
+    side = [max((f[n] for f in fam), default=0) for n in range(fam.horizon)]
+    return HechlerCond(FinFunc(tuple(stem)), FinFunc(tuple(side)))
+
+
+def brute_proj_e(c):
+    """The loc-e projection, written out on its own."""
+    stem = [0]
+    for n, cell in enumerate(c.prefix.cells[1:], 1):
+        outside = [v for v in range(max(cell, default=0) + n + 1) if v not in cell]
+        stem.append(outside[sum(cell) % n])
+    return ECond(FinFunc(tuple(stem[: c.prefix.horizon])), c.side)
+
+
+def guard_refusal(c, q):
+    """What both lifts check first: InvalidCondition if c or q breaks a
+    validity clause, then the lift's size bound."""
+    s, fam = c.prefix, c.side
+    loc_valid = all(len(s[n]) <= n for n in range(s.horizon)) and len(fam) <= s.horizon
+    if not (loc_valid and s.horizon <= fam.horizon and q.stem.horizon <= q.side.horizon):
+        return InvalidCondition
+    if sum(range(s.horizon, q.stem.horizon)) > MAX_VALUES:
+        return MalformedInput
+    return None
+
+
+def d_refusal(c, q):
+    """The first precondition of the loc-d lift proper that fails."""
+    s, fam = c.prefix, c.side
+    if len(fam) >= s.horizon:
+        return FamilyTooLarge
+    if q.side.horizon != fam.horizon:
+        return HorizonMismatch
+    if not ref_leq("hechler", q, brute_proj_d(c)):
+        return NotBelowProjection
+    if any(q.stem[n] < n - 1 for n in range(s.horizon, q.stem.horizon)):
+        return GrowthTooSmall
+    return None
+
+
+def e_refusal(c, q):
+    """The first precondition of the loc-e lift proper that fails."""
+    s, side = c.prefix, q.side
+    if side.horizon != c.side.horizon:
+        return HorizonMismatch
+    if not ref_leq("e", q, brute_proj_e(c)):
+        return NotBelowProjection
+    new = range(s.horizon, q.stem.horizon)
+    if any(len(side) >= n for n in new) or len(side) > s.horizon:
+        return FamilyTooLarge
+    for n in new:
+        taken = {f[n] for f in side}
+        if q.stem[n] in taken or sum(v not in taken for v in range(q.stem[n])) >= n:
+            return RankTooLarge
+    return None
+
+
+def perturb(rng, c, q):
+    """(c, q) with up to two random changes: a stem or side entry of q
+    redrawn, q's stem or working horizon one longer or shorter, a member
+    added to or dropped from an e side, or a member added to c's family or
+    a value to one of its cells."""
+    c_obj, q_obj = condition_to_obj(c), condition_to_obj(q)
+    for _ in range(rng.randint(0, 2)):
+        side = q_obj["side"]
+        rows = side["functions"] if q.kind == "e" else [side]
+        horizon = len(side) if q.kind == "hechler" else side["horizon"]
+        choice = rng.randrange(7)
+        if choice == 0 and q_obj["stem"]:
+            n = rng.randrange(len(q_obj["stem"]))
+            q_obj["stem"][n] = rng.randrange(n + 1)
+        elif choice == 1 and rows and horizon:
+            row = rng.choice(rows)
+            row[rng.randrange(horizon)] = rng.randrange(8)
+        elif choice == 2 and horizon:
+            longer = rng.random() < 0.5
+            for row in rows:
+                if longer:
+                    row.append(rng.randrange(8))
+                else:
+                    row.pop()
+            if q.kind == "e":
+                side["horizon"] += 1 if longer else -1
+        elif choice == 3:
+            if rng.random() < 0.5 and q_obj["stem"]:
+                q_obj["stem"].pop()
+            else:
+                q_obj["stem"].append(rng.randrange(len(q_obj["stem"]) + 1))
+        elif choice == 4 and q.kind == "e":
+            if rng.random() < 0.5 and rows:
+                rows.pop(rng.randrange(len(rows)))
+            else:
+                rows.append([rng.randrange(8) for _ in range(horizon)])
+        elif choice == 5:
+            fam = c_obj["side"]
+            fam["functions"].append([rng.randrange(8) for _ in range(fam["horizon"])])
+        elif choice == 6:
+            cell = rng.choice(c_obj["prefix"])
+            cell.append(rng.randrange(8))
+    return condition_from_obj(c_obj), condition_from_obj(q_obj)
+
+
+LIFTS = {
+    "loc-d": (lift_loc_to_d, brute_proj_d, make_liftable_d, d_refusal),
+    "loc-e": (lift_loc_to_e, brute_proj_e, make_liftable_e, e_refusal),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFTS))
+def test_lift_refuses_exactly_on_a_failed_precondition(rng, name):
+    """Each lift raises exactly when the oracle finds a documented
+    precondition that fails, and the first such one in the documented
+    order; otherwise its result is valid, below c, and re-projects to q."""
+    lift, project, make, refusal = LIFTS[name]
+    outcomes = Counter()
+    for _ in range(2500):
+        c, q = perturb(rng, *make(rng, max_value=6))
+        expected = guard_refusal(c, q) or refusal(c, q)
+        if expected is None:
+            lifted = lift(c, q)
+            assert validate(lifted) == [] and ref_leq("loc", lifted, c)
+            assert project(lifted) == q
+        else:
+            with pytest.raises(CichonError) as refused:
+                lift(c, q)
+            assert type(refused.value) is expected, (c, q)
+        outcomes[expected] += 1
+    kinds = {None, InvalidCondition, FamilyTooLarge, HorizonMismatch, NotBelowProjection}
+    kinds.add(GrowthTooSmall if name == "loc-d" else RankTooLarge)
+    assert all(outcomes[kind] >= 20 for kind in kinds), outcomes
 
 
 # ---------------------------------------------------------------------------
