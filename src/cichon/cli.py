@@ -7,6 +7,10 @@ violated precondition: a `CichonError` (a wrong shape or type in a file is
 `OSError`, printed on stderr as `<clause>: <message>`, or argparse's usage
 text.  Outputs are byte-identical across runs on identical inputs.
 
+Each command returns its result and exit code, and `run` alone writes the
+result, once the command's decoded inputs are freed; a refused call writes
+nothing on stdout.
+
 The parsers are built once per process.  Each call is parsed once, by its
 verb's parser; the top-level parser words only top-level help and the usage
 errors no verb parser can: a missing or unknown verb, an option before the
@@ -122,25 +126,18 @@ def _parse(argv) -> argparse.Namespace:
     return args
 
 
-def _cmd_diagram(args, out) -> int:
-    if args.forcing:
-        state = dia.kb_lookup(args.forcing)
-    else:
-        state = dia.DiagramState(emptiness={})
+def _cmd_diagram(args):
+    state = dia.kb_lookup(args.forcing) if args.forcing else dia.DiagramState(emptiness={})
     if args.format == "json":
-        print(dia.emit_json(state), file=out)
-    else:
-        out.write(dia.emit_dot(state))
-    return 0
+        return dia.emit_json(state) + "\n", 0
+    return dia.emit_dot(state), 0
 
 
-def _cmd_cuts(args, out) -> int:
-    cuts = [cut.to_obj() for cut in dia.enumerate_cuts()]
-    print(_dump(cuts), file=out)
-    return 0
+def _cmd_cuts(args):
+    return [cut.to_obj() for cut in dia.enumerate_cuts()], 0
 
 
-def _cmd_check(args, out) -> int:
+def _cmd_check(args):
     f = comb.FinFunc.from_obj(_load_json(args.f))
     decode = comb.Slalom.from_obj if args.relation == "in" else comb.FinFunc.from_obj
     target = decode(_load_json(args.g))
@@ -150,8 +147,7 @@ def _cmd_check(args, out) -> int:
     payload.update({"relation": args.relation, "horizon": f.horizon, "holds": holds})
     if report.vacuous and f.horizon > 0:
         payload["counterexample_position"] = f.horizon - 1
-    print(_dump(payload), file=out)
-    return 0 if holds else 1
+    return payload, 0 if holds else 1
 
 
 def _truncate(obj, horizon):
@@ -165,7 +161,7 @@ def _truncate(obj, horizon):
     return comb.Family(tuple(comb.FinFunc(f.values[:horizon]) for f in obj), horizon)
 
 
-def _cmd_construct(args, out) -> int:
+def _cmd_construct(args):
     if args.kind == "random-family":
         if args.seed is None or args.horizon is None or args.max_value < 1:
             raise MalformedInput("random-family needs --seed, --horizon, --max-value >= 1")
@@ -181,8 +177,7 @@ def _cmd_construct(args, out) -> int:
             [rng.randrange(args.max_value) for _ in range(args.horizon)]
             for _ in range(args.count)
         ]
-        print(_dump({"horizon": args.horizon, "functions": functions}), file=out)
-        return 0
+        return {"horizon": args.horizon, "functions": functions}, 0
     if args.seed is not None:
         raise MalformedInput("--seed is only accepted by --kind random-family")
     if args.family is None:
@@ -192,24 +187,19 @@ def _cmd_construct(args, out) -> int:
     if args.horizon is not None:
         source = _truncate(source, args.horizon)
     if args.kind == "evader":
-        payload = {"kind": args.kind, "witness": cons.sum_evader_bound(source).to_obj()}
-    elif args.kind == "slalom":
+        return {"kind": args.kind, "witness": cons.sum_evader_bound(source).to_obj()}, 0
+    if args.kind == "slalom":
         sigma, thresholds = cons.family_slalom(source)
-        payload = {
-            "kind": args.kind,
-            "witness": sigma.to_obj(),
-            "capture_thresholds": list(thresholds),
-        }
+        payload = {"witness": sigma.to_obj(), "capture_thresholds": list(thresholds)}
     else:
         name, relation, mode = WITNESS_KINDS[args.kind]
         witness = getattr(cons, name)(source)
         report = comb.family_report(relation, witness, source, mode)
-        payload = {"kind": args.kind, "witness": witness.to_obj(), "report": report.to_obj()}
-    print(_dump(payload), file=out)
-    return 0
+        payload = {"witness": witness.to_obj(), "report": report.to_obj()}
+    return {"kind": args.kind, **payload}, 0
 
 
-def _cmd_poset(args, out) -> int:
+def _cmd_poset(args):
     a = posets.condition_from_obj(_load_json(args.a))
     b = posets.condition_from_obj(_load_json(args.b))
     if args.op == "fusion":
@@ -223,11 +213,10 @@ def _cmd_poset(args, out) -> int:
     payload = {"kind": args.kind, "op": args.op, "holds": holds}
     if args.op == "fusion":
         payload["n"] = args.n
-    print(_dump(payload), file=out)
-    return 0 if holds else 1
+    return payload, 0 if holds else 1
 
 
-def _cmd_project(args, out) -> int:
+def _cmd_project(args):
     raw = _load_json(args.cond)
     target = None
     if isinstance(raw, dict) and "loc" in raw:
@@ -248,8 +237,7 @@ def _cmd_project(args, out) -> int:
     if args.reduce and (args.map_name != "loc-e" or target is None):
         raise MalformedInput("--reduce applies to a loc-e lift only")
     if target is None:
-        print(_dump(posets.condition_to_obj(project(cond))), file=out)
-        return 0
+        return posets.condition_to_obj(project(cond)), 0
     if args.reduce:
         target = proj.reduce_e(target, posets.require_valid(cond, "loc").prefix.horizon)
     lifted = lift(cond, target)
@@ -259,19 +247,17 @@ def _cmd_project(args, out) -> int:
     }
     if args.reduce:
         payload["reduced_target"] = posets.condition_to_obj(target)
-    print(_dump(payload), file=out)
-    return 0
+    return payload, 0
 
 
-def _cmd_kb(args, out) -> int:
+def _cmd_kb(args):
     entries = []
     for name in dia.kb_names():
         state = dia.kb_lookup(name)
         nonempty = sorted(state.nonempty_set(), key=dia.NODE_RANK.get)
         citation = state.citation or ""
         entries.append({"name": name, "citation": citation, "nonempty": nonempty})
-    print(_dump(entries), file=out)
-    return 0
+    return entries, 0
 
 
 _COMMANDS = {
@@ -298,7 +284,12 @@ def run(argv, stdout=None, stderr=None) -> int:
     finally:
         sys.stdout, sys.stderr = streams
     try:
-        return _COMMANDS[args.verb](args, out)
+        payload, code = _COMMANDS[args.verb](args)
+        if isinstance(payload, str):  # diagram's finished text
+            out.write(payload)
+        else:
+            print(_dump(payload), file=out)
+        return code
     except (CichonError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=err)
         return 2

@@ -157,6 +157,9 @@ class Slalom:
         _check_naturals(list(itertools.chain.from_iterable(cells)), "slalom cell members")
         cells = tuple(map(frozenset, cells))
         object.__setattr__(self, "cells", cells)
+        if not isinstance(self.width, WidthProfile):
+            got = type(self.width).__name__
+            raise MalformedInput(f"slalom width must be a WidthProfile, got {got}")
         if self.width.horizon != len(cells):
             raise HorizonMismatch(
                 f"width horizon {self.width.horizon} != cell count {len(cells)}"
@@ -207,6 +210,8 @@ class Family:
         if self.horizon > MAX_VALUES:
             raise MalformedInput(f"family horizon {self.horizon} exceeds {MAX_VALUES}")
         for f in self.functions:
+            if not isinstance(f, FinFunc):
+                raise MalformedInput(f"family members must be FinFuncs, got {type(f).__name__}")
             if f.horizon != self.horizon:
                 raise HorizonMismatch(
                     f"family member horizon {f.horizon} != {self.horizon}"

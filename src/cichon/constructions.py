@@ -17,6 +17,7 @@ from .combinatorics import (
     FinFunc,
     Slalom,
     WidthProfile,
+    _check_naturals,
     least_threshold,
 )
 from .errors import (
@@ -152,6 +153,7 @@ def block_partition(width: WidthProfile, block_count: int, cell_size: int = 1) -
     """Assign cells consecutively: block n gets h(n) cells of cell_size
     positions each.  Singleton cells (the default) are the canonical choice;
     cell_size > 1 gives interval cells."""
+    _check_naturals((block_count, cell_size), "block count and cell size")
     if block_count > width.horizon:
         raise MalformedInput(
             f"width profile covers {width.horizon} blocks, {block_count} requested"
@@ -253,8 +255,7 @@ def index_of(bits: str) -> int:
 
 
 def string_of(index: int) -> str:
-    if index < 0:
-        raise MalformedInput("index must be a natural number")
+    _check_naturals((index,), "string index")
     n = (index + 1).bit_length() - 1
     offset = index - ((1 << n) - 1)
     return format(offset, "b").zfill(n) if n else ""

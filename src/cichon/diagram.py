@@ -61,6 +61,13 @@ REACHABLE = {node: frozenset(paths) - {node} for node, paths in _PATHS.items()}
 NODE_RANK = {node: i for i, node in enumerate(NODES)}
 
 
+def _sequence(obj, what: str) -> tuple:
+    """`obj` as a tuple if it is a list or a tuple; else MalformedInput."""
+    if not isinstance(obj, (list, tuple)):
+        raise MalformedInput(f"{what} must be a list, got {type(obj).__name__}")
+    return tuple(obj)
+
+
 def is_upward_closed(nonempty: frozenset[str]) -> bool:
     return all(REACHABLE[node] <= nonempty for node in nonempty)
 
@@ -94,6 +101,7 @@ class DiagramState:
 
     Classes partition the region nodes in diagram order; separators[i]
     records whether classes i and i+1 are asserted distinct or left open.
+    Every field is checked when the state is built (MalformedInput).
     """
 
     emptiness: dict[str, str]
@@ -103,7 +111,7 @@ class DiagramState:
 
     def __post_init__(self):
         emptiness = {node: "unknown" for node in NODES}
-        emptiness.update(self.emptiness)
+        emptiness.update(_check_shape(self.emptiness, dict, "diagram emptiness"))
         emptiness["Empty"] = "empty"
         object.__setattr__(self, "emptiness", emptiness)
         for node, value in emptiness.items():
@@ -111,22 +119,28 @@ class DiagramState:
                 raise MalformedInput(f"unknown diagram node {node!r}")
             if value not in EMPTINESS:
                 raise MalformedInput(f"unknown emptiness value {value!r}")
-        if self.classes is not None:
-            classes = tuple(tuple(cls) for cls in self.classes)
-            object.__setattr__(self, "classes", classes)
-            seen = [node for cls in classes for node in cls]
-            if sorted(seen) != sorted(REGION_NODES):
-                raise MalformedInput("classes must partition the seven region nodes")
-            separators = self.separators
-            if separators is None:
-                separators = tuple("distinct" for _ in range(len(classes) - 1))
-            else:
-                separators = tuple(separators)
-            if len(separators) != max(len(classes) - 1, 0):
-                raise MalformedInput("need one separator between consecutive classes")
-            if any(sep not in SEPARATORS for sep in separators):
-                raise MalformedInput(f"separators must be in {SEPARATORS}")
-            object.__setattr__(self, "separators", separators)
+        if self.citation is not None:
+            _check_shape(self.citation, str, "diagram citation")
+        if self.classes is None:
+            if self.separators is not None:
+                raise MalformedInput("diagram separators need classes")
+            return
+        rows = _sequence(self.classes, "diagram classes")
+        classes = tuple(_sequence(row, "diagram class") for row in rows)
+        object.__setattr__(self, "classes", classes)
+        # membership only, so no member of another type is compared or hashed
+        seen = [node for cls in classes for node in cls]
+        if len(seen) != len(REGION_NODES) or not all(node in seen for node in REGION_NODES):
+            raise MalformedInput("classes must partition the seven region nodes")
+        separators = self.separators
+        if separators is None:
+            separators = ("distinct",) * (len(classes) - 1)
+        separators = _sequence(separators, "diagram separators")
+        if len(separators) != max(len(classes) - 1, 0):
+            raise MalformedInput("need one separator between consecutive classes")
+        if any(sep not in SEPARATORS for sep in separators):
+            raise MalformedInput(f"separators must be in {SEPARATORS}")
+        object.__setattr__(self, "separators", separators)
 
     def nonempty_set(self) -> frozenset[str]:
         return frozenset(
@@ -156,16 +170,7 @@ class DiagramState:
     @classmethod
     def from_obj(cls, obj) -> "DiagramState":
         _check_shape(obj, dict, "diagram state", ("emptiness",))
-        emptiness = dict(_check_shape(obj["emptiness"], dict, "diagram emptiness"))
-        classes, separators, citation = map(obj.get, ("classes", "separators", "citation"))
-        if classes is not None:
-            for row in _check_shape(classes, list, "diagram classes", items=list):
-                _check_shape(row, list, "diagram class", items=str)
-        if separators is not None:
-            _check_shape(separators, list, "diagram separators", items=str)
-        if citation is not None:
-            _check_shape(citation, str, "diagram citation")
-        return cls(emptiness, classes, separators, citation)
+        return cls(*map(obj.get, ("emptiness", "classes", "separators", "citation")))
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +246,8 @@ def _load_kb() -> dict:
 def _check_profile(name: str, state: DiagramState):
     if not is_upward_closed(state.nonempty_set()):
         raise MalformedInput(f"profile {name}: nonempty set is not upward closed")
-    closed = propagate(state)
-    if isinstance(closed, Contradiction):
-        raise MalformedInput(f"profile {name}: contradiction {closed}")
-    if closed.emptiness != state.emptiness:
+    # upward closure leaves propagate no contradiction to find
+    if propagate(state).emptiness != state.emptiness:
         raise MalformedInput(f"profile {name}: not a propagation fixpoint")
     violations = state.class_violations()
     if violations:

@@ -214,13 +214,6 @@ def require_valid(cond: Condition, kind: str) -> Condition:
     return cond
 
 
-def _require(kind: str, a: Condition, b: Condition):
-    if kind not in POSET_KINDS:
-        raise KindMismatch(f"unknown poset kind {kind!r}")
-    require_valid(a, kind)
-    require_valid(b, kind)
-
-
 # ---------------------------------------------------------------------------
 # Orders
 
@@ -234,7 +227,8 @@ _SIDE_HORIZONS = {
 
 def leq(kind: str, a: Condition, b: Condition) -> bool:
     """True iff a strengthens b in the given poset."""
-    _require(kind, a, b)
+    require_valid(a, kind)
+    require_valid(b, kind)
     if kind in ("sacks", "laver"):
         return a.nodes <= b.nodes
     if kind == "product":
@@ -268,6 +262,7 @@ def leq(kind: str, a: Condition, b: Condition) -> bool:
 def splitting_nodes(tree: FiniteTree, n: int) -> list[Node]:
     """Splitting nodes with exactly n splitting proper predecessors."""
     require_valid(tree, "sacks")
+    _check_naturals((n,), "splitting level")
     return sorted(node for node, level in tree._split_levels.items() if level == n)
 
 
@@ -289,11 +284,11 @@ def fusion_leq(kind: str, a: Condition, b: Condition, n: int) -> bool:
     at n implies the plain order.  Levels past the last one a tree has are
     empty, so the cost does not grow with n.
     """
-    if n < 0:
-        raise MalformedInput("fusion index must be a natural number")
+    _check_naturals((n,), "fusion index")
     if kind not in FUSION_KINDS:
         raise KindMismatch(f"fusion orders exist for {FUSION_KINDS}, got {kind!r}")
-    _require(kind, a, b)
+    require_valid(a, kind)
+    require_valid(b, kind)
     if kind == "product":
         return fusion_leq("sacks", a.sacks_part, b.sacks_part, n) and fusion_leq(
             "laver", a.laver_part, b.laver_part, n
@@ -315,7 +310,7 @@ def fusion_leq(kind: str, a: Condition, b: Condition, n: int) -> bool:
 
 
 def condition_to_obj(cond: Condition):
-    kind = cond.kind
+    kind = getattr(cond, "kind", None)
     if isinstance(cond, CohenCond):
         return {"kind": kind, "stem": cond.stem.to_obj()}
     if isinstance(cond, (HechlerCond, ECond)):

@@ -11,7 +11,7 @@ least-value padding rules, so equal inputs give equal outputs.
 
 from __future__ import annotations
 
-from .combinatorics import MAX_VALUES, Family, FinFunc, Slalom
+from .combinatorics import MAX_VALUES, Family, FinFunc, Slalom, _check_naturals
 from .errors import (
     FamilyTooLarge,
     GrowthTooSmall,
@@ -187,8 +187,9 @@ def reduce_e(q: ECond, from_position: int) -> ECond:
     kept.  The side family is untouched.
     """
     require_valid(q, "e")
+    _check_naturals((from_position,), "reduce_e start")
     stem = list(q.stem.values)
-    for n in range(max(from_position, 0), len(stem)):
+    for n in range(from_position, len(stem)):
         side_values = {f[n] for f in q.side}
         least = _kth_excluded(side_values, 0)
         rank = _rank_outside(side_values, stem[n])

@@ -742,6 +742,7 @@ def _e(horizon, functions=()):
 
 HECHLER = {"kind": "hechler", "stem": [], "side": [0]}
 SWAPPED = {"kind": "product", "sacks": ROOT_ONLY, "laver": {"kind": "sacks", "nodes": [[]]}}
+COHEN_PART = {"kind": "product", "sacks": {"kind": "cohen", "nodes": [[]]}, "laver": ROOT_ONLY}
 NOT_BELOW = {"holds": False}
 BRANCHES = {
     "hechler-side-horizons": (LEQ, HECHLER, {**HECHLER, "side": [0, 0]}, 2, "HorizonMismatch: "),
@@ -757,6 +758,14 @@ BRANCHES = {
     "leq-with-n": (
         LEQ + ["--n", "3"], ROOT_ONLY, ROOT_ONLY, 2,
         "MalformedInput: --n applies to --op fusion only",
+    ),
+    "fusion-non-fusion-kind": (
+        ["poset", "--kind", "cohen", "--op", "fusion", "--a", "{a}", "--b", "{b}", "--n", "0"],
+        ROOT_ONLY, ROOT_ONLY, 2, "KindMismatch: fusion orders exist for ",
+    ),
+    "product-cohen-part": (
+        LEQ, COHEN_PART, COHEN_PART, 2,
+        "MalformedInput: expected a sacks or laver tree, got 'cohen'",
     ),
     "product-swapped": (
         LEQ, SWAPPED, SWAPPED, 2, "InvalidCondition: first component must be a sacks tree; ",

@@ -2,6 +2,7 @@
 tail-monotonicity invariants; the naturals check and the JSON emitter
 against their definitions."""
 
+import functools
 import itertools
 import json
 import math
@@ -11,8 +12,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cichon import (
+    BitstringFunc,
+    BlockSlalom,
     CohenCond,
     DiagramState,
+    ECond,
     Family,
     FinFunc,
     FiniteTree,
@@ -22,6 +26,7 @@ from cichon import (
     WidthProfile,
     block_partition,
     canonical_enum,
+    columns_slalom,
     family_report,
     fusion_leq,
     hit_count,
@@ -34,10 +39,12 @@ from cichon import (
     reduce_e,
     splitting_nodes,
     string_of,
+    weave,
 )
 from cichon.combinatorics import MAX_NATURAL, _check_naturals, dump_json
 from cichon.diagram import REGION_NODES, _check_profile
 from cichon.errors import CichonError, HorizonMismatch, KindMismatch, MalformedInput
+from cichon.posets import condition_to_obj
 
 def _equal_length_pair(n):
     row = st.lists(st.integers(0, 50), min_size=n, max_size=n)
@@ -104,6 +111,41 @@ F1 = FinFunc((1,))
 TREE = FiniteTree("sacks", frozenset({()}))
 LOC = LocCond(Slalom.identity_width([()]), Family((F1,), 1))
 COHEN_PRODUCT = ProductCond(CohenCond(FinFunc(())), FiniteTree("laver", {()}))
+FOO_TREE = FiniteTree("foo", [()])
+E1 = ECond(F1, Family((), 1))
+W1 = WidthProfile((1,))
+# Diagram-state fields refused alike when decoded and when built directly.
+BAD_STATES = {
+    "node": {"emptiness": {"Nowhere": "empty"}},
+    "value": {"emptiness": {"BIn": "maybe"}},
+    "emptiness-number": {"emptiness": 5},
+    "classes": {"emptiness": {}, "classes": [["BIn"]]},
+    "separator-count": {
+        "emptiness": {}, "classes": [list(REGION_NODES)], "separators": ["distinct"]
+    },
+    "separator-value": {
+        "emptiness": {},
+        "classes": [list(REGION_NODES[:1]), list(REGION_NODES[1:])],
+        "separators": ["maybe"],
+    },
+    "separators-empty": {
+        "emptiness": {},
+        "classes": [list(REGION_NODES[:1]), list(REGION_NODES[1:])],
+        "separators": [],
+    },
+    "separators-without-classes": {"emptiness": {}, "separators": []},
+    "classes-number": {"emptiness": {}, "classes": 5},
+    "class-number": {"emptiness": {}, "classes": [5]},
+    "class-member-number": {"emptiness": {}, "classes": [["BIn", 1]]},
+    "class-member-list": {"emptiness": {}, "classes": [["BIn", ["BIn"]]]},
+    "separators-number": {"emptiness": {}, "classes": [list(REGION_NODES)], "separators": 5},
+    "separator-number": {
+        "emptiness": {},
+        "classes": [list(REGION_NODES[:1]), list(REGION_NODES[1:])],
+        "separators": [5],
+    },
+    "citation-number": {"emptiness": {}, "citation": 5},
+}
 # One call per kind of library refusal that is not a decoding error.
 LIBRARY_REFUSALS = {
     "relation-name": lambda: least_threshold("lt", F1, F1),
@@ -114,31 +156,40 @@ LIBRARY_REFUSALS = {
     "evading-relation": lambda: family_report("leq", F1, Family((F1,), 1), "evading"),
     "too-many-blocks": lambda: block_partition(WidthProfile((1,)), 2),
     "cell-size": lambda: block_partition(WidthProfile((1,)), 1, cell_size=0),
+    "block-count-string": lambda: block_partition(W1, "x"),
+    "block-count-negative": lambda: block_partition(W1, -1),
+    "cell-size-string": lambda: block_partition(W1, 1, cell_size="x"),
     "string-index": lambda: string_of(-1),
+    "string-index-string": lambda: string_of("x"),
+    "string-index-bool": lambda: string_of(True),
     "fusion-index": lambda: fusion_leq("sacks", TREE, TREE, -1),
-    "state-node": lambda: DiagramState({"Nowhere": "empty"}),
-    "state-value": lambda: DiagramState({"BIn": "maybe"}),
-    "state-classes": lambda: DiagramState({}, classes=(("BIn",),)),
-    "state-separator-count": lambda: DiagramState(
-        {}, classes=(REGION_NODES,), separators=("distinct",)
+    "fusion-index-string": lambda: fusion_leq("sacks", TREE, TREE, "x"),
+    "splitting-level-string": lambda: splitting_nodes(TREE, "x"),
+    "reduce-e-start-string": lambda: reduce_e(E1, "x"),
+    "reduce-e-negative-start": lambda: reduce_e(E1, -3),
+    "weave-widths": lambda: weave(BlockSlalom(((),), WidthProfile((2,))), block_partition(W1, 1)),
+    "weave-entry-count": lambda: weave(BlockSlalom((), W1), block_partition(W1, 1)),
+    "columns-short-slalom": lambda: columns_slalom(
+        Slalom.identity_width([]), block_partition(W1, 1)
     ),
-    "state-separator-value": lambda: DiagramState(
-        {}, classes=(REGION_NODES[:1], REGION_NODES[1:]), separators=("maybe",)
-    ),
+    "bitstring-value": lambda: BitstringFunc(("2",)),
+    "family-member-list": lambda: Family([[1]], 1),
+    "slalom-width-list": lambda: Slalom([[1]], [1]),
+    "condition-to-obj-number": lambda: condition_to_obj(5),
+    "unknown-poset-kind": lambda: leq("foo", TREE, TREE),
+    "unknown-tree-kind": lambda: leq("foo", FOO_TREE, FOO_TREE),
+    **{
+        f"state-{name}": lambda fields=fields: DiagramState(**fields)
+        for name, fields in BAD_STATES.items()
+    },
+    **{
+        f"state-{name}-decoded": functools.partial(DiagramState.from_obj, fields)
+        for name, fields in BAD_STATES.items()
+    },
     "kb-not-upward-closed": lambda: _check_profile("x", DiagramState({"BIn": "nonempty"})),
     "kb-not-fixpoint": lambda: _check_profile("x", DiagramState({"DIn": "empty"})),
     "kb-class-mixes": lambda: _check_profile(
         "x", DiagramState({"AllNew": "nonempty"}, classes=(REGION_NODES,))
-    ),
-    "state-classes-number": lambda: DiagramState.from_obj({"emptiness": {}, "classes": 5}),
-    "state-class-member-number": lambda: DiagramState.from_obj(
-        {"emptiness": {}, "classes": [["BIn", 1]]}
-    ),
-    "state-separators-number": lambda: DiagramState.from_obj(
-        {"emptiness": {}, "classes": [list(REGION_NODES)], "separators": 5}
-    ),
-    "state-citation-number": lambda: DiagramState.from_obj(
-        {"emptiness": {}, "citation": 5}
     ),
     "tree-string-entry": lambda: FiniteTree("laver", [[], ["a"]]),
     "tree-string-entry-unknown-kind": lambda: FiniteTree("foo", {(), ("a",), (0,)}),
@@ -163,7 +214,8 @@ LIBRARY_REFUSALS = {
 
 @pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
 def test_library_refusals_are_cichon_errors(case):
-    with pytest.raises(CichonError):
+    expected = MalformedInput if case.startswith("state-") else CichonError
+    with pytest.raises(expected):
         LIBRARY_REFUSALS[case]()
 
 
