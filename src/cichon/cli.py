@@ -14,7 +14,10 @@ nothing on stdout.
 The parsers are built once per process.  Each call is parsed once, by its
 verb's parser; the top-level parser words only top-level help and the usage
 errors no verb parser can: a missing or unknown verb, an option before the
-verb, and leftover arguments.
+verb, and leftover arguments.  A plain call (every option written whole,
+each value not starting with "-", every required option given and every
+value of its type and among its choices) is read straight from the verb
+parser's action table; argparse parses, and words, everything else.
 """
 
 from __future__ import annotations
@@ -47,11 +50,17 @@ def _dump(obj) -> str:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except (ValueError, RecursionError) as exc:  # syntax, encoding, depth
-            raise MalformedInput(f"{path}: not readable JSON: {exc}") from None
+    """The file's JSON value, read as text mode would read it: UTF-8 only,
+    with its line ends translated to "\\n"."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # syntax, encoding, depth
+        raise MalformedInput(f"{path}: not readable JSON: {exc}") from None
 
 
 def _natural(text: str) -> int:
@@ -109,19 +118,57 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+def _parse_plain(verb: argparse.ArgumentParser, tokens) -> argparse.Namespace | None:
+    """`verb.parse_args(tokens)` when every token is an exact option string
+    of `verb`, a store option's value not starting with "-", or a store_true
+    flag, and every value converts and every required option is given; else
+    None, and argparse parses the call."""
+    options = verb._option_string_actions
+    args = argparse.Namespace(
+        **{a.dest: a.default for a in verb._actions if a.default is not argparse.SUPPRESS}
+    )
+    seen = set()
+    tokens = iter(tokens)
+    for token in tokens:
+        action = options.get(token)
+        if type(action) is argparse._StoreTrueAction:
+            value = True
+        elif type(action) is argparse._StoreAction and action.nargs is None:
+            value = next(tokens, "-")  # a missing value reads as an option
+            if value.startswith("-"):
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        else:
+            return None
+        setattr(args, action.dest, value)
+        seen.add(action)
+    if any(a.required and a not in seen for a in verb._actions):
+        return None
+    return args
+
+
 def _parse(argv) -> argparse.Namespace:
     """The top-level parser's `parse_args(argv)`, in one pass.
 
     That call would hand everything after the verb to the verb's parser and
-    copy its namespace back, so a leading verb goes straight to its parser.
+    copy its namespace back, so a leading verb goes straight to its parser,
+    and a plain call straight to that parser's action table.
     """
     parser, verbs = _build_parser()
     verb = verbs.get(argv[0]) if argv else None
     if verb is None:
         return parser.parse_args(argv)
-    args, extras = verb.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = _parse_plain(verb, argv[1:])
+    if args is None:
+        args, extras = verb.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.verb = argv[0]
     return args
 

@@ -36,10 +36,11 @@ def _check_naturals(values, what):
     """MalformedInput naming the first entry of the sequence `values` that
     is not an int in [0, MAX_NATURAL); bools are not naturals.
 
-    A long all-int sequence passes in three C-level scans; the loop, faster
-    on a few entries, decides the rest and names the first offender.
+    An all-int sequence of four or more entries passes in three C-level
+    scans; the loop, as fast on four entries and faster on fewer, decides
+    the rest and names the first offender.
     """
-    long_ints = len(values) > 16 and set(map(type, values)) <= {int}
+    long_ints = len(values) > 3 and set(map(type, values)) <= {int}
     if long_ints and min(values) >= 0 and max(values) < MAX_NATURAL:
         return
     for v in values:
@@ -58,8 +59,19 @@ def dump_json(obj, indent: str = "") -> str:
     values with str keys (tuples count as lists), nested at `indent`.
 
     That call never reaches json's C encoder, which serves only indent=None,
-    so the containers are laid out here; scalars still go through json.
+    so the containers are laid out here.  Keys and exact str, int, bool and
+    None scalars are written as json writes them; other scalars, floats
+    included, still go through json.
     """
+    kind = type(obj)
+    if kind is str:
+        return json.encoder.encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     inner = indent + "  "
     if isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {int}:
@@ -68,7 +80,8 @@ def dump_json(obj, indent: str = "") -> str:
             items = [dump_json(v, inner) for v in obj]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     if isinstance(obj, dict) and obj:
-        items = [f"{json.dumps(k)}: {dump_json(v, inner)}" for k, v in sorted(obj.items())]
+        key = json.encoder.encode_basestring_ascii
+        items = [f"{key(k)}: {dump_json(v, inner)}" for k, v in sorted(obj.items())]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
     return json.dumps(obj)
 
@@ -143,9 +156,10 @@ class WidthProfile:
 class Slalom:
     """A sequence of finite sets of naturals with a width profile.
 
-    Soundness (|cells(n)| <= width(n) everywhere) is not checked, at
-    construction or by any later operation: an unsound slalom is taken as
-    given.  Library constructors only ever build sound slaloms.
+    Soundness (|cells(n)| <= width(n) everywhere) is checked where a slalom
+    is decoded (`from_obj`), not at construction: a loc prefix is built
+    with identity width, and `posets.validate` reports its unsound cells as
+    violations.  Library constructors only ever build sound slaloms.
     """
 
     cells: tuple[frozenset[int], ...]
@@ -191,7 +205,13 @@ class Slalom:
             width = WidthProfile(tuple(_check_shape(obj["width"], list, "slalom width")))
         else:
             width = WidthProfile.identity(len(cells))
-        return cls(cells, width)
+        slalom = cls(cells, width)
+        over = list(map(operator.gt, map(len, slalom.cells), width.widths))
+        if True in over:
+            n = over.index(True)
+            size, bound = len(slalom[n]), width[n]
+            raise MalformedInput(f"slalom cell {n} holds {size} members, above its width {bound}")
+        return slalom
 
 
 @dataclass(frozen=True)
@@ -286,6 +306,8 @@ _POINTWISE = {
 
 
 def _check_target(rel: str, f: FinFunc, target):
+    if not isinstance(f, FinFunc):
+        raise MalformedInput(f"relation {rel!r} compares a FinFunc, got {type(f).__name__}")
     wants_slalom = rel == "in"
     if wants_slalom and not isinstance(target, Slalom):
         raise MalformedInput("relation 'in' needs a Slalom target")

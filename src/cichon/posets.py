@@ -26,12 +26,24 @@ FUSION_KINDS = ("sacks", "laver", "product")
 Node = tuple[int, ...]
 
 
+def _check_fields(cond, **types):
+    """MalformedInput naming the first field of `cond` not of its type."""
+    for name, cls in types.items():
+        value = getattr(cond, name)
+        if not isinstance(value, cls):
+            got = type(value).__name__
+            raise MalformedInput(f"{cond.kind} {name} must be a {cls.__name__}, got {got}")
+
+
 @dataclass(frozen=True)
 class CohenCond:
     """A finite sequence; the order is end-extension."""
 
     stem: FinFunc
     kind: str = field(default="cohen", init=False)
+
+    def __post_init__(self):
+        _check_fields(self, stem=FinFunc)
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,9 @@ class HechlerCond:
     side: FinFunc
     kind: str = field(default="hechler", init=False)
 
+    def __post_init__(self):
+        _check_fields(self, stem=FinFunc, side=FinFunc)
+
 
 @dataclass(frozen=True)
 class ECond:
@@ -52,6 +67,9 @@ class ECond:
     side: Family
     kind: str = field(default="e", init=False)
 
+    def __post_init__(self):
+        _check_fields(self, stem=FinFunc, side=Family)
+
 
 @dataclass(frozen=True)
 class LocCond:
@@ -60,6 +78,9 @@ class LocCond:
     prefix: Slalom
     side: Family
     kind: str = field(default="loc", init=False)
+
+    def __post_init__(self):
+        _check_fields(self, prefix=Slalom, side=Family)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import cichon
 from cichon import Family, ProductCond, errors
-from cichon.cli import _build_parser, _parse, run
+from cichon.cli import _build_parser, _load_json, _parse, run
 from cichon.combinatorics import MAX_NATURAL
 from cichon.posets import POSET_KINDS, condition_to_obj
 from conftest import make_laver, make_sacks, prune_tree
@@ -503,7 +503,7 @@ def test_results_stay_printable(tmp_path):
     decodes but whose successor Python will not print."""
     for value, code in ((MAX_NATURAL - 2, 0), (MAX_NATURAL - 1, 2), (10**4300 - 1, 2)):
         family = write(tmp_path, "fam.json", {"horizon": 1, "functions": [[value]]})
-        cells = write(tmp_path, "cells.json", {"cells": [[1, value - 1]]})
+        cells = write(tmp_path, "cells.json", {"width": [2], "cells": [[1, value - 1]]})
         for kind, path in (("dominator", family), ("evader", cells)):
             got, out, err = invoke(["construct", "--kind", kind, "--family", path])
             assert got == code
@@ -512,6 +512,26 @@ def test_results_stay_printable(tmp_path):
                 assert err.startswith("MalformedInput: ")
             else:
                 assert json.loads(out)["witness"] == [value + 1]
+
+
+def test_unsound_slalom_file_refused(tmp_path):
+    """A slalom file whose cell holds more distinct members than its width is
+    refused at its first such cell; repeats collapse before the count.  A loc
+    prefix is not a slalom file: its unsound cell is an invalid condition."""
+    f = write(tmp_path, "f.json", [5])
+    check = ["check", "--relation", "in", "--f", f, "--g"]
+    cases = (
+        (check, {"width": [0], "cells": [[5, 5, 3]]}, "cell 0 holds 2 members, above its width 0"),
+        (EVADER[:-1], {"cells": [[], [1, 2]]}, "cell 1 holds 2 members, above its width 1"),
+    )
+    for argv, slalom, message in cases:
+        path = write(tmp_path, "slalom.json", slalom)
+        assert invoke(argv + [path]) == (2, "", f"MalformedInput: slalom {message}\n")
+    path = write(tmp_path, "slalom.json", {"width": [1], "cells": [[5, 5]]})
+    assert invoke(check + [path])[0] == 0
+    loc = write(tmp_path, "loc.json", {"kind": "loc", "prefix": [[1]], "side": NO_SIDE})
+    argv = [arg.format(kind="loc", f=loc) for arg in POSET]
+    assert invoke(argv) == (2, "", "InvalidCondition: |s(n)| <= n at n=0\n")
 
 
 def test_tree_entries_stay_printable(tmp_path):
@@ -662,23 +682,28 @@ def _flat(*groups):
 
 def _verb_argvs(verb):
     """`verb` with its options in any order, some left out, each written
-    whole, abbreviated or as `--opt=value`, with stray tokens mixed in."""
-    options = []
+    whole, abbreviated or as `--opt=value`, with stray tokens mixed in; or
+    with its options written whole only, as most calls are."""
+    options, plain = [], []
     for action in VERBS[verb]._actions[1:]:  # after -h
-        word = st.sampled_from(action.option_strings) | st.builds(
-            lambda o, k: o[:k], st.sampled_from(action.option_strings), st.integers(3, 8)
-        )
+        exact = st.sampled_from(action.option_strings)
+        word = exact | st.builds(lambda o, k: o[:k], exact, st.integers(3, 8))
         value = st.sampled_from(action.choices or ("0", "3", "-1", "x.json"))
-        whole = word.map(lambda w: [w]) if action.nargs == 0 else st.builds(
-            lambda w, v: [w, v], word, value
-        )
+        if action.nargs == 0:
+            whole, alone = word.map(lambda w: [w]), exact.map(lambda w: [w])
+        else:
+            whole = st.builds(lambda w, v: [w, v], word, value)
+            alone = st.builds(lambda w, v: [w, v], exact, value)
         options.append(whole | st.builds(lambda w, v: [f"{w}={v}"], word, value))
+        plain.append(alone)
     noise = st.sampled_from(NOISE).map(lambda token: [token])
     every = st.tuples(*options).flatmap(st.permutations)
     some = st.lists(st.one_of(*options, noise), max_size=6)
-    return st.builds(
-        lambda a, b: [verb] + _flat(a, b), every | some, st.lists(noise, max_size=2)
+    mixed = st.builds(lambda a, b: [verb] + _flat(a, b), every | some, st.lists(noise, max_size=2))
+    whole_only = st.tuples(*plain).flatmap(st.permutations) | st.lists(
+        st.one_of(*plain), max_size=7
     )
+    return mixed | whole_only.map(lambda groups: [verb] + _flat(groups))
 
 
 PARSE_ARGVS = st.one_of(
@@ -716,10 +741,87 @@ def _parsed(parse, argv):
 @example(["poset", "--n", "-1", "--kind=sacks", "--op", "fusion", "--a", "a", "--b", "b"])
 @example(["check", "--rel", "leq", "--f", "a", "--g", "b", "x", "--nope"])
 @example(["construct", "--kind", "random-family", "--max=3"])
+@example(["check", "--relation", "leq", "--f", "-a", "--g", "b"])
+@example(["poset", "--kind", "nope", "--op", "leq", "--a", "a", "--b", "b"])
+@example(["check", "--relation", "leq", "--f", "a"])
+@example(["diagram", "--format", "json", "--format", "dot", "--forcing", "x"])
+@example(["poset", "--kind", "sacks", "--op", "fusion", "--a", "a", "--b", "b", "--n", "x"])
 def test_verb_first_parse_matches_the_full_parser(argv):
     """`_parse` gives the namespace the top-level parser's `parse_args`
     gives, or exits with the same code and the same output."""
     assert _parsed(_parse, argv) == _parsed(PARSER.parse_args, argv)
+
+
+def _whole_argv(verb, required_only):
+    """`verb` with its options written whole, each with a value it takes."""
+    argv = [verb]
+    for action in VERBS[verb]._actions[1:]:  # after -h
+        if required_only and not action.required:
+            continue
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            argv.append(action.choices[-1] if action.choices else "3")
+    return argv
+
+
+@pytest.mark.parametrize("required_only", [False, True])
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_plain_call_takes_the_plain_path(monkeypatch, verb, required_only):
+    """A call with every option written whole is read from the verb's action
+    table, without argparse, into the namespace the full parser gives."""
+    argv = _whole_argv(verb, required_only)
+    expected = PARSER.parse_args(argv)
+    monkeypatch.setattr(VERBS[verb], "parse_known_args", None)  # not called
+    assert _parse(argv) == expected
+
+
+# ---------------------------------------------------------------------------
+# Input files read as bytes against a text-mode read as reference
+
+FRAGMENTS = (
+    b"[", b"]", b"{", b"}", b",", b":", b" ", b"1", b"-2", b'"a"', b'"\\u00e9"',
+    b"\n", b"\r", b"\r\n", b"\xc3\xa9", b"\xc3", b"\x80", b"\xff",
+    b"\xef\xbb\xbf", b"\xff\xfe", b"\xfe\xff",
+)
+LINE_ENDS = st.sampled_from((b"\n", b"\r", b"\r\n"))
+FILE_BYTES = st.one_of(
+    st.lists(st.sampled_from(FRAGMENTS) | st.binary(max_size=3), max_size=12).map(b"".join),
+    # a valid document with its line ends, behind a byte-order mark or not
+    st.builds(
+        lambda bom, obj, end: bom + json.dumps(obj, indent=1).encode().replace(b"\n", end),
+        st.sampled_from((b"", b"\xef\xbb\xbf", b"\xff\xfe")),
+        st.recursive(st.integers() | st.text(max_size=3), st.lists, max_leaves=6),
+        LINE_ENDS,
+    ),
+    # a malformed document after a line end, so the error's position counts it
+    st.builds(lambda end, tail: b"[1," + end + tail, LINE_ENDS, st.sampled_from((b"]", b"x]"))),
+)
+
+
+def _read_text_mode(path):
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return repr(json.load(handle))
+        except (ValueError, RecursionError) as exc:
+            return f"{path}: not readable JSON: {exc}"
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(b"[1,\r\nx]")
+@example(b"\xef\xbb\xbf[]")
+@example(b'\xff\xfe[\x00]\x00')
+@example(b"[1, \xff]")
+@given(FILE_BYTES)
+def test_load_json_reads_as_text_mode(tmp_path, data):
+    """`_load_json` returns the value a text-mode UTF-8 read gives, or
+    refuses with the message that read's error gives."""
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    try:
+        got = repr(_load_json(str(path)))
+    except errors.MalformedInput as exc:
+        got = str(exc)
+    assert got == _read_text_mode(path)
 
 
 # ---------------------------------------------------------------------------

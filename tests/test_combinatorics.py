@@ -20,6 +20,7 @@ from cichon import (
     Family,
     FinFunc,
     FiniteTree,
+    HechlerCond,
     LocCond,
     ProductCond,
     Slalom,
@@ -39,6 +40,7 @@ from cichon import (
     reduce_e,
     splitting_nodes,
     string_of,
+    validate,
     weave,
 )
 from cichon.combinatorics import MAX_NATURAL, _check_naturals, dump_json
@@ -174,6 +176,11 @@ LIBRARY_REFUSALS = {
     ),
     "bitstring-value": lambda: BitstringFunc(("2",)),
     "family-member-list": lambda: Family([[1]], 1),
+    "cohen-stem-list": lambda: leq("cohen", CohenCond([1]), CohenCond([1])),
+    "hechler-side-list": lambda: leq("hechler", HechlerCond(FinFunc(()), [1]), 1),
+    "e-side-list": lambda: validate(ECond(FinFunc(()), [1])),
+    "loc-prefix-list": lambda: LocCond([[1]], Family((), 1)),
+    "threshold-argument-list": lambda: least_threshold("leq", [1], FinFunc((1,))),
     "slalom-width-list": lambda: Slalom([[1]], [1]),
     "condition-to-obj-number": lambda: condition_to_obj(5),
     "unknown-poset-kind": lambda: leq("foo", TREE, TREE),
@@ -358,11 +365,11 @@ ENTRIES = st.one_of(
     st.none(),
     st.text(max_size=2),
 )
-# Past 16 entries an all-int sequence takes the fast path: plant one entry
-# of any kind among 17 or more naturals.
+# From four entries an all-int sequence takes the fast path: plant one entry
+# of any kind among three or more naturals.
 PLANTED = st.builds(
     lambda naturals, entry, at: naturals[:at] + [entry] + naturals[at:],
-    st.lists(st.integers(0, 20), min_size=17, max_size=30),
+    st.lists(st.integers(0, 20), min_size=3, max_size=30),
     ENTRIES,
     st.integers(0, 30),
 )
@@ -395,6 +402,11 @@ def refusal(check, *args):
 @example([0] * 20 + [True])
 @example([0] * 20 + [1.5])
 @example([0] * 20 + [Natural(1)])
+@example([-1])
+@example([0, MAX_NATURAL])
+@example([0, 0, True])
+@example([0, 0, 0, -1])
+@example([0, 0, 0, 1.5])
 @given(ENTRY_LISTS)
 def test_check_naturals_matches_definition(values):
     expected = definition_of_naturals(values, "values")
@@ -427,6 +439,12 @@ JSON_LIKE = st.recursive(
 )
 
 
+class Text(str):
+    """A str subclass, which the emitter leaves to json."""
+
+
+@example({"a": True, "b": None, "c": [False, 0, "\u2028é\n"], "d": 1.0})
+@example([Natural(3), Text("x"), True, 10**4299])
 @given(JSON_LIKE)
 def test_dump_json_matches_json_dumps(obj):
     assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
