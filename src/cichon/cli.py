@@ -174,7 +174,7 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def _cmd_diagram(args):
-    state = dia.kb_lookup(args.forcing) if args.forcing else dia.DiagramState(emptiness={})
+    state = dia.kb_lookup(args.forcing) if args.forcing is not None else dia.DiagramState(emptiness={})
     if args.format == "json":
         return dia.emit_json(state) + "\n", 0
     return dia.emit_dot(state), 0

@@ -87,11 +87,13 @@ def dump_json(obj, indent: str = "") -> str:
 
 
 def _check_shape(obj, container, what, keys=(), items=None):
-    """`obj` if it is a `container` (list or dict) with every key in `keys`
-    and, if given, only `items` inside; else MalformedInput naming `what`."""
+    """`obj` if it is a `container` (a class or a tuple of classes) with
+    every key in `keys` and, if given, only `items` inside; else
+    MalformedInput naming `what`.  The library's one whole-value class check."""
     if not isinstance(obj, container):
-        got = type(obj).__name__
-        raise MalformedInput(f"{what} must be a {container.__name__}, got {got}")
+        classes = container if isinstance(container, tuple) else (container,)
+        wanted = " or ".join(t.__name__ for t in classes)
+        raise MalformedInput(f"{what} must be a {wanted}, got {type(obj).__name__}")
     for key in keys:
         if key not in obj:
             raise MalformedInput(f"{what} needs the key {key!r}")
@@ -171,9 +173,7 @@ class Slalom:
         _check_naturals(list(itertools.chain.from_iterable(cells)), "slalom cell members")
         cells = tuple(map(frozenset, cells))
         object.__setattr__(self, "cells", cells)
-        if not isinstance(self.width, WidthProfile):
-            got = type(self.width).__name__
-            raise MalformedInput(f"slalom width must be a WidthProfile, got {got}")
+        _check_shape(self.width, WidthProfile, "slalom width")
         if self.width.horizon != len(cells):
             raise HorizonMismatch(
                 f"width horizon {self.width.horizon} != cell count {len(cells)}"
@@ -230,8 +230,7 @@ class Family:
         if self.horizon > MAX_VALUES:
             raise MalformedInput(f"family horizon {self.horizon} exceeds {MAX_VALUES}")
         for f in self.functions:
-            if not isinstance(f, FinFunc):
-                raise MalformedInput(f"family members must be FinFuncs, got {type(f).__name__}")
+            _check_shape(f, FinFunc, "family member")
             if f.horizon != self.horizon:
                 raise HorizonMismatch(
                     f"family member horizon {f.horizon} != {self.horizon}"
@@ -306,13 +305,8 @@ _POINTWISE = {
 
 
 def _check_target(rel: str, f: FinFunc, target):
-    if not isinstance(f, FinFunc):
-        raise MalformedInput(f"relation {rel!r} compares a FinFunc, got {type(f).__name__}")
-    wants_slalom = rel == "in"
-    if wants_slalom and not isinstance(target, Slalom):
-        raise MalformedInput("relation 'in' needs a Slalom target")
-    if not wants_slalom and not isinstance(target, FinFunc):
-        raise MalformedInput(f"relation {rel!r} needs a FinFunc target")
+    _check_shape(f, FinFunc, f"relation {rel!r} function")
+    _check_shape(target, Slalom if rel == "in" else FinFunc, f"relation {rel!r} target")
     if f.horizon != target.horizon:
         raise HorizonMismatch(
             f"horizon {f.horizon} vs {target.horizon} for relation {rel!r}"

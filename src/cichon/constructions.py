@@ -18,6 +18,7 @@ from .combinatorics import (
     Slalom,
     WidthProfile,
     _check_naturals,
+    _check_shape,
     least_threshold,
 )
 from .errors import (
@@ -32,6 +33,7 @@ from .errors import (
 
 def _columns(family: Family):
     """The family column-major: per position n, the tuple (f(n) for f in family)."""
+    _check_shape(family, Family, "family")
     if not family.functions:
         return [()] * family.horizon
     return zip(*(f.values for f in family))
@@ -72,7 +74,7 @@ def least_avoider(family: Family) -> FinFunc:
 
 def round_robin_ioe(family: Family) -> FinFunc:
     """g(n) = f_{n mod |F|}(n); matches each member at >= floor(N/|F|) positions."""
-    if len(family) == 0:
+    if len(_check_shape(family, Family, "family")) == 0:
         raise EmptyFamily("round robin needs at least one member")
     rows = itertools.cycle([f.values for f in family])
     return FinFunc(tuple(map(operator.getitem, rows, range(family.horizon))))
@@ -145,6 +147,9 @@ class BlockSlalom:
     entries: tuple[tuple[dict[int, int], ...], ...]
     width: WidthProfile
 
+    def __post_init__(self):
+        _check_shape(self.width, WidthProfile, "block slalom width")
+
     def __getitem__(self, n: int) -> tuple[dict[int, int], ...]:
         return self.entries[n]
 
@@ -153,6 +158,7 @@ def block_partition(width: WidthProfile, block_count: int, cell_size: int = 1) -
     """Assign cells consecutively: block n gets h(n) cells of cell_size
     positions each.  Singleton cells (the default) are the canonical choice;
     cell_size > 1 gives interval cells."""
+    _check_shape(width, WidthProfile, "block partition width")
     _check_naturals((block_count, cell_size), "block count and cell size")
     if block_count > width.horizon:
         raise MalformedInput(
@@ -296,13 +302,10 @@ def evasion_target(sigma: Slalom) -> BitstringFunc:
     Encoding the result back through the enumeration lands outside the
     slalom at every position, by choice of index.
     """
+    _check_shape(sigma, Slalom, "evasion slalom")
     values = []
     for n in range(sigma.horizon):
-        chosen = None
-        for k in length_range(n):
-            if k not in sigma[n]:
-                chosen = k
-                break
+        chosen = next(itertools.filterfalse(sigma[n].__contains__, length_range(n)), None)
         if chosen is None:
             raise NoAdmissibleString(
                 f"sigma({n}) excludes every length-{n} string index"

@@ -61,13 +61,6 @@ REACHABLE = {node: frozenset(paths) - {node} for node, paths in _PATHS.items()}
 NODE_RANK = {node: i for i, node in enumerate(NODES)}
 
 
-def _sequence(obj, what: str) -> tuple:
-    """`obj` as a tuple if it is a list or a tuple; else MalformedInput."""
-    if not isinstance(obj, (list, tuple)):
-        raise MalformedInput(f"{what} must be a list, got {type(obj).__name__}")
-    return tuple(obj)
-
-
 def is_upward_closed(nonempty: frozenset[str]) -> bool:
     return all(REACHABLE[node] <= nonempty for node in nonempty)
 
@@ -125,8 +118,8 @@ class DiagramState:
             if self.separators is not None:
                 raise MalformedInput("diagram separators need classes")
             return
-        rows = _sequence(self.classes, "diagram classes")
-        classes = tuple(_sequence(row, "diagram class") for row in rows)
+        rows = _check_shape(self.classes, (list, tuple), "diagram classes")
+        classes = tuple(tuple(_check_shape(row, (list, tuple), "diagram class")) for row in rows)
         object.__setattr__(self, "classes", classes)
         # membership only, so no member of another type is compared or hashed
         seen = [node for cls in classes for node in cls]
@@ -135,7 +128,7 @@ class DiagramState:
         separators = self.separators
         if separators is None:
             separators = ("distinct",) * (len(classes) - 1)
-        separators = _sequence(separators, "diagram separators")
+        separators = tuple(_check_shape(separators, (list, tuple), "diagram separators"))
         if len(separators) != max(len(classes) - 1, 0):
             raise MalformedInput("need one separator between consecutive classes")
         if any(sep not in SEPARATORS for sep in separators):

@@ -26,15 +26,6 @@ FUSION_KINDS = ("sacks", "laver", "product")
 Node = tuple[int, ...]
 
 
-def _check_fields(cond, **types):
-    """MalformedInput naming the first field of `cond` not of its type."""
-    for name, cls in types.items():
-        value = getattr(cond, name)
-        if not isinstance(value, cls):
-            got = type(value).__name__
-            raise MalformedInput(f"{cond.kind} {name} must be a {cls.__name__}, got {got}")
-
-
 @dataclass(frozen=True)
 class CohenCond:
     """A finite sequence; the order is end-extension."""
@@ -43,7 +34,7 @@ class CohenCond:
     kind: str = field(default="cohen", init=False)
 
     def __post_init__(self):
-        _check_fields(self, stem=FinFunc)
+        _check_shape(self.stem, FinFunc, "cohen stem")
 
 
 @dataclass(frozen=True)
@@ -56,7 +47,8 @@ class HechlerCond:
     kind: str = field(default="hechler", init=False)
 
     def __post_init__(self):
-        _check_fields(self, stem=FinFunc, side=FinFunc)
+        _check_shape(self.stem, FinFunc, "hechler stem")
+        _check_shape(self.side, FinFunc, "hechler side")
 
 
 @dataclass(frozen=True)
@@ -68,7 +60,8 @@ class ECond:
     kind: str = field(default="e", init=False)
 
     def __post_init__(self):
-        _check_fields(self, stem=FinFunc, side=Family)
+        _check_shape(self.stem, FinFunc, "e stem")
+        _check_shape(self.side, Family, "e side")
 
 
 @dataclass(frozen=True)
@@ -80,7 +73,8 @@ class LocCond:
     kind: str = field(default="loc", init=False)
 
     def __post_init__(self):
-        _check_fields(self, prefix=Slalom, side=Family)
+        _check_shape(self.prefix, Slalom, "loc prefix")
+        _check_shape(self.side, Family, "loc side")
 
 
 @dataclass(frozen=True)

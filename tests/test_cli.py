@@ -68,6 +68,13 @@ def test_diagram_unknown_forcing():
     assert "UnknownForcing" in err
 
 
+def test_diagram_empty_forcing_is_unknown():
+    """An empty name is looked up like any other, not read as no forcing."""
+    code, out, err = invoke(["diagram", "--forcing", ""])
+    assert (code, out) == (2, "")
+    assert err == "UnknownForcing: no knowledge-base entry for ''\n"
+
+
 def test_check_leq_reflexive(tmp_path):
     f = write(tmp_path, "f.json", [3, 1, 4])
     code, out, _ = invoke(["check", "--relation", "leq", "--f", f, "--g", f])

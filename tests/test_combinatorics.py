@@ -28,9 +28,13 @@ from cichon import (
     block_partition,
     canonical_enum,
     columns_slalom,
+    evasion_target,
+    family_dominator,
     family_report,
+    family_slalom,
     fusion_leq,
     hit_count,
+    least_avoider,
     least_threshold,
     leq,
     lift_loc_to_d,
@@ -38,6 +42,7 @@ from cichon import (
     proj_loc_to_d,
     proj_loc_to_e,
     reduce_e,
+    round_robin_ioe,
     splitting_nodes,
     string_of,
     validate,
@@ -182,6 +187,13 @@ LIBRARY_REFUSALS = {
     "loc-prefix-list": lambda: LocCond([[1]], Family((), 1)),
     "threshold-argument-list": lambda: least_threshold("leq", [1], FinFunc((1,))),
     "slalom-width-list": lambda: Slalom([[1]], [1]),
+    "block-partition-width-list": lambda: block_partition([1], 1),
+    "block-slalom-width-list": lambda: weave(BlockSlalom(((),), [1]), block_partition(W1, 1)),
+    "evasion-target-list": lambda: evasion_target([[1]]),
+    "family-dominator-list": lambda: family_dominator([[1]]),
+    "least-avoider-list": lambda: least_avoider([[1]]),
+    "family-slalom-list": lambda: family_slalom([[1]]),
+    "round-robin-list": lambda: round_robin_ioe([[1]]),
     "condition-to-obj-number": lambda: condition_to_obj(5),
     "unknown-poset-kind": lambda: leq("foo", TREE, TREE),
     "unknown-tree-kind": lambda: leq("foo", FOO_TREE, FOO_TREE),
@@ -223,6 +235,28 @@ LIBRARY_REFUSALS = {
 def test_library_refusals_are_cichon_errors(case):
     expected = MalformedInput if case.startswith("state-") else CichonError
     with pytest.raises(expected):
+        LIBRARY_REFUSALS[case]()
+
+
+# The rows that pass a value of the wrong class for a whole field or argument:
+# a list where a library object belongs, a FinFunc or Slalom target of the
+# other relation, or a number where a diagram-state field belongs (not a
+# wrong class member, which a state refuses by value).
+WRONG_CLASS_STATES = {
+    f"state-{field}-number" for field in ("emptiness", "classes", "class", "separators", "citation")
+}
+WRONG_CLASS = sorted(
+    c
+    for c in LIBRARY_REFUSALS
+    if c.removesuffix("-decoded") in WRONG_CLASS_STATES
+    or (c.endswith(("-list", "-target")) and not c.startswith("state-"))
+)
+
+
+@pytest.mark.parametrize("case", WRONG_CLASS)
+def test_wrong_class_has_one_message_form(case):
+    """Every value of the wrong class is refused by the one guard, in its words."""
+    with pytest.raises(MalformedInput, match=r"^.+ must be a \w+( or \w+)*, got \w+$"):
         LIBRARY_REFUSALS[case]()
 
 
