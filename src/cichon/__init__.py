@@ -37,7 +37,6 @@ from .diagram import (
     Contradiction,
     Cut,
     DiagramState,
-    compose_profiles,
     emit_dot,
     emit_json,
     enumerate_cuts,
@@ -61,7 +60,6 @@ from .posets import (
 from .projections import (
     lift_loc_to_d,
     lift_loc_to_e,
-    parity_map,
     proj_loc_to_d,
     proj_loc_to_e,
     reduce_e,
@@ -69,4 +67,5 @@ from .projections import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public classes and functions, not the submodules the imports bind
+__all__ = [name for name in dir() if not name.startswith("_") and callable(globals()[name])]

@@ -11,13 +11,11 @@ Each command returns its result and exit code, and `run` alone writes the
 result, once the command's decoded inputs are freed; a refused call writes
 nothing on stdout.
 
-The parsers are built once per process.  Each call is parsed once, by its
-verb's parser; the top-level parser words only top-level help and the usage
-errors no verb parser can: a missing or unknown verb, an option before the
-verb, and leftover arguments.  A plain call (every option written whole,
-each value not starting with "-", every required option given and every
-value of its type and among its choices) is read straight from the verb
-parser's action table; argparse parses, and words, everything else.
+The parsers are built once per process.  A plain call (every option
+written whole, each value not starting with "-", every required option
+given and every value of its type and among its choices) is read straight
+from its verb parser's action table; the top-level parser parses, and
+words, everything else.
 """
 
 from __future__ import annotations
@@ -154,21 +152,13 @@ def _parse_plain(verb: argparse.ArgumentParser, tokens) -> argparse.Namespace | 
 
 
 def _parse(argv) -> argparse.Namespace:
-    """The top-level parser's `parse_args(argv)`, in one pass.
-
-    That call would hand everything after the verb to the verb's parser and
-    copy its namespace back, so a leading verb goes straight to its parser,
-    and a plain call straight to that parser's action table.
-    """
+    """The top-level parser's `parse_args(argv)`; a plain call is read from
+    its verb parser's action table instead."""
     parser, verbs = _build_parser()
     verb = verbs.get(argv[0]) if argv else None
-    if verb is None:
-        return parser.parse_args(argv)
-    args = _parse_plain(verb, argv[1:])
+    args = _parse_plain(verb, argv[1:]) if verb is not None else None
     if args is None:
-        args, extras = verb.parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parser.parse_args(argv)
     args.verb = argv[0]
     return args
 

@@ -219,21 +219,15 @@ def enumerate_cuts() -> list[Cut]:
 
 
 @functools.cache
-def _load_kb() -> dict:
+def _load_kb() -> dict[str, DiagramState]:
+    """The knowledge base's profiles by forcing name, each checked once."""
     text = resources.files("cichon").joinpath("data/kb.json").read_text()
-    raw = json.loads(text)
     profiles = {}
-    for name, entry in raw["profiles"].items():
+    for name, entry in json.loads(text)["profiles"].items():
         state = DiagramState.from_obj(entry)
         _check_profile(name, state)
         profiles[name] = state
-    products = {}
-    for entry in raw.get("products", []):
-        key = tuple(sorted(entry["factors"]))
-        state = DiagramState.from_obj(entry["profile"])
-        _check_profile("*".join(key), state)
-        products[key] = state
-    return {"profiles": profiles, "products": products}
+    return profiles
 
 
 def _check_profile(name: str, state: DiagramState):
@@ -248,39 +242,14 @@ def _check_profile(name: str, state: DiagramState):
 
 
 def kb_names() -> list[str]:
-    return sorted(_load_kb()["profiles"])
+    return sorted(_load_kb())
 
 
 def kb_lookup(name: str) -> DiagramState:
-    profiles = _load_kb()["profiles"]
+    profiles = _load_kb()
     if name not in profiles:
         raise UnknownForcing(f"no knowledge-base entry for {name!r}")
     return profiles[name]
-
-
-def compose_profiles(names: list[str]) -> DiagramState:
-    """Join the recorded states of a product of forcings.
-
-    A node is nonempty if any factor makes it nonempty and empty only if
-    every factor leaves it empty.  Class structure is dropped, except
-    that a recorded product entry (matched as a multiset-free factor set)
-    is returned verbatim.
-    """
-    kb = _load_kb()
-    states = [kb_lookup(name) for name in names]
-    key = tuple(sorted(set(names)))
-    if key in kb["products"]:
-        return kb["products"][key]
-    emptiness = {}
-    for node in REGION_NODES:
-        values = {state.emptiness[node] for state in states}
-        if "nonempty" in values:
-            emptiness[node] = "nonempty"
-        elif values == {"empty"}:
-            emptiness[node] = "empty"
-        else:
-            emptiness[node] = "unknown"
-    return DiagramState(emptiness=emptiness)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ In every order, a <= b reads "a strengthens b".  Trees are finite
 approximations: prefix-closed node sets whose leaves all sit at the
 working depth (the maximal node length), so that a node whose splitting
 lies beyond the horizon is indistinguishable from a splitting one; the
-Laver branching budget and the Miller splitting-budget flag are recorded
-approximation grades, not extra order clauses.
+Laver branching budget is a recorded approximation grade, not an extra
+order clause.
 """
 
 from __future__ import annotations
@@ -85,11 +85,10 @@ class FiniteTree:
     kind: str
     nodes: frozenset[Node]
     branching_budget: int | None = None
-    splitting_budget: int | None = None
 
     def __post_init__(self):
-        budgets = (self.branching_budget, self.splitting_budget)
-        _check_naturals([b for b in budgets if b is not None], f"{self.kind} budgets")
+        if self.branching_budget is not None:
+            _check_naturals((self.branching_budget,), f"{self.kind} budgets")
         try:  # before hashing: an array or object entry cannot be hashed
             types = set(map(type, chain.from_iterable(self.nodes)))
         except TypeError:
@@ -126,19 +125,10 @@ class FiniteTree:
     def _violations(self) -> tuple[str, ...]:
         return tuple(_validate_tree(self))
 
+    # no library path calls it: kept as a bench/tracing.py target, which
+    # tests/test_tracing.py requires to resolve
     def children(self, node: Node) -> list[Node]:
         return sorted(kid for kid in self.nodes if kid and kid[:-1] == node)
-
-    @property
-    def stem(self) -> Node:
-        """The maximal linearly ordered initial segment."""
-        current: Node = ()
-        while current in self.nodes and self._fanout[current] == 1:
-            (current,) = self.children(current)
-        return current
-
-    def leaves(self) -> list[Node]:
-        return sorted(self.nodes - self._fanout.keys())
 
 
 @dataclass(frozen=True)
@@ -340,8 +330,6 @@ def condition_to_obj(cond: Condition):
         obj = {"kind": kind, "nodes": [list(node) for node in sorted(cond.nodes)]}
         if cond.branching_budget is not None:
             obj["branching_budget"] = cond.branching_budget
-        if cond.splitting_budget is not None:
-            obj["splitting_budget"] = cond.splitting_budget
         return obj
     if isinstance(cond, ProductCond):
         return {
@@ -381,4 +369,4 @@ def _tree_from_obj(obj) -> FiniteTree:
     if kind not in ("sacks", "laver"):
         raise MalformedInput(f"expected a sacks or laver tree, got {kind!r}")
     nodes = _check_shape(obj["nodes"], list, f"{kind} nodes", items=list)
-    return FiniteTree(kind, nodes, obj.get("branching_budget"), obj.get("splitting_budget"))
+    return FiniteTree(kind, nodes, obj.get("branching_budget"))

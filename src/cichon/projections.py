@@ -197,8 +197,3 @@ def reduce_e(q: ECond, from_position: int) -> ECond:
         if not ok:
             stem[n] = least
     return ECond(FinFunc(tuple(stem)), q.side)
-
-
-def parity_map(d: FinFunc) -> FinFunc:
-    """c(n) = d(n) mod 2, the induced binary sequence."""
-    return FinFunc(tuple(v % 2 for v in d.values))

@@ -262,9 +262,4 @@ def prune_tree(rng, tree, keep_probability=0.75):
             chosen = [rng.choice(kids)]
         keep.update(chosen)
         frontier.extend(chosen)
-    return FiniteTree(
-        tree.kind,
-        frozenset(keep),
-        branching_budget=tree.branching_budget,
-        splitting_budget=tree.splitting_budget,
-    )
+    return FiniteTree(tree.kind, frozenset(keep), branching_budget=tree.branching_budget)

@@ -556,6 +556,18 @@ def test_tree_entries_stay_printable(tmp_path):
         assert err.startswith(f"MalformedInput: laver {clause} must be below 10**4000")
 
 
+def test_splitting_budget_key_is_ignored(tmp_path):
+    """A "splitting_budget" key in a tree file is an unknown key, ignored
+    like any other, whatever its value."""
+    tree = {"kind": "laver", "nodes": [[], [0], [1]]}
+    results = []
+    for name, payload in (("plain.json", tree), ("keyed.json", {**tree, "splitting_budget": "x"})):
+        path = write(tmp_path, name, payload)
+        results.append(invoke(["poset", "--kind", "laver", "--op", "leq", "--a", path, "--b", path]))
+    assert results[0] == results[1]
+    assert results[0][0] == 0
+
+
 # ---------------------------------------------------------------------------
 # One rejection path: every refused input exits 2 with a clause name
 
@@ -677,7 +689,7 @@ def test_random_family_value_bound(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The verb-first parse against the full parser as reference
+# The plain parse against the full parser as reference
 
 PARSER, VERBS = _build_parser()
 NOISE = ("-h", "--help", "--he", "--", "--nope", "-x", "-1", "x", "frobnicate", "cuts")

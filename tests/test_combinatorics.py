@@ -3,6 +3,7 @@ tail-monotonicity invariants; the naturals check and the JSON emitter
 against their definitions."""
 
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import cichon
 from cichon import (
     BitstringFunc,
     BlockSlalom,
@@ -482,3 +484,12 @@ class Text(str):
 @given(JSON_LIKE)
 def test_dump_json_matches_json_dumps(obj):
     assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_package_exports_only_classes_and_functions():
+    """`from cichon import *` binds the public classes and functions: no
+    submodule, and none of the names the library has dropped."""
+    for name in cichon.__all__:
+        value = getattr(cichon, name)
+        assert isinstance(value, type) or inspect.isfunction(value), name
+    assert {"compose_profiles", "parity_map"}.isdisjoint(cichon.__all__)

@@ -1,5 +1,5 @@
 """Diagram shape, propagation, cut enumeration against brute force, the
-knowledge base region-for-region, composition, and rendering."""
+knowledge base region-for-region, and rendering."""
 
 import itertools
 import json
@@ -13,7 +13,6 @@ import cichon
 from cichon import (
     Contradiction,
     DiagramState,
-    compose_profiles,
     emit_dot,
     emit_json,
     enumerate_cuts,
@@ -331,48 +330,6 @@ def test_random_profile_example():
     for node in ("BIn", "BLeq", "DNeq", "DLeq"):
         assert state.emptiness[node] == "empty"
     assert ("BNeq", "DIn", "AllNew") in {tuple(cls) for cls in state.classes}
-
-
-# ---------------------------------------------------------------------------
-# Composition
-
-
-def test_compose_full_separation_product():
-    state = compose_profiles(["sacks", "laver", "loc", "random"])
-    assert state.nonempty_set() == frozenset(REGION_NODES)
-    assert state.classes is not None
-    assert all(len(cls) == 1 for cls in state.classes)
-    assert all(sep == "distinct" for sep in state.separators)
-
-
-def test_compose_trivial_pair():
-    state = compose_profiles(["trivial", "trivial"])
-    assert state.nonempty_set() == frozenset()
-    assert all(state.emptiness[node] == "empty" for node in REGION_NODES)
-
-
-def test_compose_cohen_sacks_join():
-    state = compose_profiles(["cohen", "sacks"])
-    for node in ("DNeq", "DLeq", "DIn", "AllNew"):
-        assert state.emptiness[node] == "nonempty"
-    for node in ("BIn", "BLeq", "BNeq"):
-        assert state.emptiness[node] == "empty"
-    assert state.classes is None
-
-
-def test_compose_monotone(rng):
-    names = kb_names()
-    for _ in range(60):
-        base = rng.sample(names, rng.randint(1, 3))
-        bigger = base + [rng.choice(names)]
-        before = compose_profiles(base)
-        after = compose_profiles(bigger)
-        assert before.nonempty_set() <= after.nonempty_set()
-
-
-def test_compose_unknown_factor():
-    with pytest.raises(UnknownForcing):
-        compose_profiles(["cohen", "amoeba"])
 
 
 # ---------------------------------------------------------------------------

@@ -377,7 +377,7 @@ def test_canonical_enum_ancestors_first(rng):
     for _ in range(60):
         t = make_laver(rng)
         order = {node: i for i, node in enumerate(canonical_enum(t))}
-        stem = t.stem
+        stem = BruteTree(t).stem()
         for node, i in order.items():
             for cut in range(len(stem) + 1, len(node)):
                 assert order[node[:cut]] < i
@@ -558,8 +558,6 @@ def test_tree_index_matches_oracle(rng):
         absent += {node[:-1] for node in t.nodes if node} - t.nodes
         for node in absent:
             assert t.children(node) == oracle_children(t, node)
-        assert t.leaves() == brute.leaves()
-        assert t.stem == brute.stem()
         assert validate(t) == brute.validate()
         if validate(t):
             with pytest.raises(InvalidCondition):
@@ -676,7 +674,7 @@ def test_laver_fusion_counts_canonical_nodes():
 
 
 def test_condition_json_round_trip(rng):
-    budgeted = FiniteTree("laver", make_laver(rng).nodes, branching_budget=3, splitting_budget=2)
+    budgeted = FiniteTree("laver", make_laver(rng).nodes, branching_budget=3)
     conditions = [
         make_cohen(rng),
         make_hechler(rng),
@@ -689,7 +687,7 @@ def test_condition_json_round_trip(rng):
     ]
     for cond in conditions:
         assert condition_from_obj(condition_to_obj(cond)) == cond
-    assert condition_to_obj(budgeted)["splitting_budget"] == 2
+    assert condition_to_obj(budgeted)["branching_budget"] == 3
 
 
 def test_condition_json_rejects_unknown_kind():

@@ -1,4 +1,4 @@
-"""Projection formulas, lift laws, the repair step, and the parity map."""
+"""Projection formulas, lift laws, and the repair step."""
 
 from collections import Counter
 
@@ -14,7 +14,6 @@ from cichon import (
     leq,
     lift_loc_to_d,
     lift_loc_to_e,
-    parity_map,
     proj_loc_to_d,
     proj_loc_to_e,
     reduce_e,
@@ -461,14 +460,3 @@ def test_proj_d_order_preservation_counterexample():
     stronger = loc([[], [0], [1]], [[1, 1, 1], [1, 1, 1]], 3)
     assert leq("loc", stronger, weaker)
     assert leq("hechler", proj_loc_to_d(stronger), proj_loc_to_d(weaker))
-
-
-# ---------------------------------------------------------------------------
-# parity
-
-
-def test_parity_examples():
-    assert parity_map(FinFunc((4, 7, 2))).values == (0, 1, 0)
-    assert parity_map(FinFunc((0, 2, 8))).values == (0, 0, 0)
-    d = FinFunc((3, 6, 1))
-    assert parity_map(parity_map(d)) == parity_map(d)
