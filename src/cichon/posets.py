@@ -4,9 +4,8 @@ localization, and the Sacks/Laver tree kinds with their fusion orders.
 In every order, a <= b reads "a strengthens b".  Trees are finite
 approximations: prefix-closed node sets whose leaves all sit at the
 working depth (the maximal node length), so that a node whose splitting
-lies beyond the horizon is indistinguishable from a splitting one; the
-Laver branching budget is a recorded approximation grade, not an extra
-order clause.
+lies beyond the horizon is indistinguishable from a splitting one.  A
+fusion order is the plain order plus a level clause per tree pair.
 """
 
 from __future__ import annotations
@@ -84,11 +83,8 @@ class FiniteTree:
 
     kind: str
     nodes: frozenset[Node]
-    branching_budget: int | None = None
 
     def __post_init__(self):
-        if self.branching_budget is not None:
-            _check_naturals((self.branching_budget,), f"{self.kind} budgets")
         try:  # before hashing: an array or object entry cannot be hashed
             types = set(map(type, chain.from_iterable(self.nodes)))
         except TypeError:
@@ -165,10 +161,7 @@ def _validate_tree(t: FiniteTree) -> list[str]:
         for leaf in sorted(leaves):
             if len(leaf) != depth:
                 out.append(f"leaf {list(leaf)} at depth {len(leaf)} != working depth {depth}")
-    if t.kind == "laver":
-        if t.branching_budget is not None and t.branching_budget < 1:
-            out.append("branching budget must be >= 1")
-    elif t.kind != "sacks":
+    if t.kind not in ("sacks", "laver"):
         out.append(f"unknown tree kind {t.kind!r}")
     return out
 
@@ -234,12 +227,8 @@ def leq(kind: str, a: Condition, b: Condition) -> bool:
     """True iff a strengthens b in the given poset."""
     require_valid(a, kind)
     require_valid(b, kind)
-    if kind in ("sacks", "laver"):
-        return a.nodes <= b.nodes
-    if kind == "product":
-        return a.sacks_part.nodes <= b.sacks_part.nodes and (
-            a.laver_part.nodes <= b.laver_part.nodes
-        )
+    if kind in FUSION_KINDS:  # the tree kinds: node containment per tree pair
+        return all(x.nodes <= y.nodes for x, y in _tree_pairs(a, b))
     if kind in _SIDE_HORIZONS and a.side.horizon != b.side.horizon:
         raise HorizonMismatch(_SIDE_HORIZONS[kind])
     # a's head (its stem, or a loc prefix) end-extends b's; past b's it is new
@@ -258,6 +247,13 @@ def leq(kind: str, a: Condition, b: Condition) -> bool:
     if kind == "loc":
         return all(f[n] in a.prefix[n] for n in new for f in b.side)
     return True  # cohen: end-extension is the whole order
+
+
+def _tree_pairs(a: FiniteTree | ProductCond, b: FiniteTree | ProductCond):
+    """The tree pairs a tree order compares: the trees, or a product's parts."""
+    if isinstance(a, ProductCond):
+        return ((a.sacks_part, b.sacks_part), (a.laver_part, b.laver_part))
+    return ((a, b),)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +278,9 @@ def canonical_enum(tree: FiniteTree) -> list[Node]:
 
 
 def fusion_leq(kind: str, a: Condition, b: Condition, n: int) -> bool:
-    """The n-th fusion order: plain strengthening plus preservation of the
-    first n + 1 splitting levels (sacks) or canonical nodes (laver).
+    """The n-th fusion order: the plain order `leq` first, then, per compared
+    tree pair, the first n + 1 splitting levels (sacks) or canonical nodes
+    (laver) kept.
 
     Levels accumulate, so the orders nest: fusion at n + 1 implies fusion
     at n implies the plain order.  Levels past the last one a tree has are
@@ -292,15 +289,13 @@ def fusion_leq(kind: str, a: Condition, b: Condition, n: int) -> bool:
     _check_naturals((n,), "fusion index")
     if kind not in FUSION_KINDS:
         raise KindMismatch(f"fusion orders exist for {FUSION_KINDS}, got {kind!r}")
-    require_valid(a, kind)
-    require_valid(b, kind)
-    if kind == "product":
-        return fusion_leq("sacks", a.sacks_part, b.sacks_part, n) and fusion_leq(
-            "laver", a.laver_part, b.laver_part, n
-        )
-    if not a.nodes <= b.nodes:
-        return False
-    if kind == "sacks":
+    return leq(kind, a, b) and all(_keeps_levels(x, y, n) for x, y in _tree_pairs(a, b))
+
+
+def _keeps_levels(a: FiniteTree, b: FiniteTree, n: int) -> bool:
+    """The n-th fusion clause for valid trees a <= b: a sacks tree keeps b's
+    splitting levels up to n; a laver tree, b's first n + 1 canonical nodes."""
+    if a.kind == "sacks":
         theirs = b._split_levels
         return all(
             theirs.get(node) == level
@@ -327,10 +322,7 @@ def condition_to_obj(cond: Condition):
             "side": cond.side.to_obj(),
         }
     if isinstance(cond, FiniteTree):
-        obj = {"kind": kind, "nodes": [list(node) for node in sorted(cond.nodes)]}
-        if cond.branching_budget is not None:
-            obj["branching_budget"] = cond.branching_budget
-        return obj
+        return {"kind": kind, "nodes": [list(node) for node in sorted(cond.nodes)]}
     if isinstance(cond, ProductCond):
         return {
             "kind": kind,
@@ -369,4 +361,4 @@ def _tree_from_obj(obj) -> FiniteTree:
     if kind not in ("sacks", "laver"):
         raise MalformedInput(f"expected a sacks or laver tree, got {kind!r}")
     nodes = _check_shape(obj["nodes"], list, f"{kind} nodes", items=list)
-    return FiniteTree(kind, nodes, obj.get("branching_budget"))
+    return FiniteTree(kind, nodes)

@@ -236,7 +236,7 @@ def make_laver(rng, stem_len=2, depth_above=3, budget=3, alphabet=5):
                 nodes.add(child)
                 nxt.append(child)
         frontier = nxt
-    return FiniteTree("laver", frozenset(nodes), branching_budget=budget)
+    return FiniteTree("laver", frozenset(nodes))
 
 
 def oracle_children(tree, node):
@@ -262,4 +262,4 @@ def prune_tree(rng, tree, keep_probability=0.75):
             chosen = [rng.choice(kids)]
         keep.update(chosen)
         frontier.extend(chosen)
-    return FiniteTree(tree.kind, frozenset(keep), branching_budget=tree.branching_budget)
+    return FiniteTree(tree.kind, frozenset(keep))

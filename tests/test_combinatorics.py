@@ -30,12 +30,15 @@ from cichon import (
     block_partition,
     canonical_enum,
     columns_slalom,
+    emit_dot,
+    emit_json,
     evasion_target,
     family_dominator,
     family_report,
     family_slalom,
     fusion_leq,
     hit_count,
+    kb_lookup,
     least_avoider,
     least_threshold,
     leq,
@@ -43,6 +46,7 @@ from cichon import (
     lift_loc_to_e,
     proj_loc_to_d,
     proj_loc_to_e,
+    propagate,
     reduce_e,
     round_robin_ioe,
     splitting_nodes,
@@ -51,7 +55,7 @@ from cichon import (
     weave,
 )
 from cichon.combinatorics import MAX_NATURAL, _check_naturals, dump_json
-from cichon.diagram import REGION_NODES, _check_profile
+from cichon.diagram import REGION_NODES
 from cichon.errors import CichonError, HorizonMismatch, KindMismatch, MalformedInput
 from cichon.posets import condition_to_obj
 
@@ -207,14 +211,12 @@ LIBRARY_REFUSALS = {
         f"state-{name}-decoded": functools.partial(DiagramState.from_obj, fields)
         for name, fields in BAD_STATES.items()
     },
-    "kb-not-upward-closed": lambda: _check_profile("x", DiagramState({"BIn": "nonempty"})),
-    "kb-not-fixpoint": lambda: _check_profile("x", DiagramState({"DIn": "empty"})),
-    "kb-class-mixes": lambda: _check_profile(
-        "x", DiagramState({"AllNew": "nonempty"}, classes=(REGION_NODES,))
-    ),
+    "propagate-list": lambda: propagate([]),
+    "emit-json-list": lambda: emit_json([]),
+    "emit-dot-list": lambda: emit_dot([]),
+    "kb-lookup-list": lambda: kb_lookup([1]),
     "tree-string-entry": lambda: FiniteTree("laver", [[], ["a"]]),
     "tree-string-entry-unknown-kind": lambda: FiniteTree("foo", {(), ("a",), (0,)}),
-    "tree-string-budget": lambda: FiniteTree("laver", [[]], branching_budget="x"),
     "tree-nodes-number": lambda: FiniteTree("sacks", 5),
     "tree-node-number": lambda: FiniteTree("sacks", [5]),
     "product-of-cohen": lambda: leq("product", COHEN_PRODUCT, COHEN_PRODUCT),

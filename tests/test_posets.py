@@ -367,9 +367,9 @@ def test_splitting_nodes_match_oracle(rng):
 
 
 def test_canonical_enum_examples():
-    two = FiniteTree("laver", frozenset({(), (0,), (1,)}), branching_budget=2)
+    two = FiniteTree("laver", frozenset({(), (0,), (1,)}))
     assert canonical_enum(two) == [(0,), (1,)]
-    bare = FiniteTree("laver", frozenset({(), (3,), (3, 1)}), branching_budget=2)
+    bare = FiniteTree("laver", frozenset({(), (3,), (3, 1)}))
     assert canonical_enum(bare) == []
 
 
@@ -472,9 +472,6 @@ class BruteTree:
             for leaf in self.leaves()
             if len(leaf) != depth
         ]
-        if t.kind == "laver" and t.branching_budget is not None:
-            if t.branching_budget < 1:
-                out.append("branching budget must be >= 1")
         return out
 
     def splitting(self, n):
@@ -512,7 +509,7 @@ def oracle_fusion(kind, a, b, n):
 
 
 def as_laver(tree):
-    return FiniteTree("laver", tree.nodes, branching_budget=2)
+    return FiniteTree("laver", tree.nodes)
 
 
 def sample_trees(rng):
@@ -545,7 +542,7 @@ def damage(rng, tree):
     for _ in range(rng.randint(0, 3)):
         node = rng.choice(sorted(tree.nodes))
         nodes.add(node + (bad,))
-    return FiniteTree(tree.kind, frozenset(nodes), branching_budget=rng.choice((None, 0, 2)))
+    return FiniteTree(tree.kind, frozenset(nodes))
 
 
 def test_tree_index_matches_oracle(rng):
@@ -573,7 +570,7 @@ for tree in sample_trees(rng):
     bad = damage(rng, tree)
     nodes = sorted(bad.nodes)
     shapes = (nodes, nodes[::-1], frozenset(nodes))
-    print(json.dumps([validate(FiniteTree(bad.kind, s, bad.branching_budget)) for s in shapes]))
+    print(json.dumps([validate(FiniteTree(bad.kind, s)) for s in shapes]))
 """
 
 
@@ -620,6 +617,7 @@ def test_fusion_matches_oracle(rng):
         for n in range(max(a.depth, b.depth) + 2):
             assert fusion_leq(a.kind, a, b, n) == oracle_fusion(a.kind, ba, bb, n)
             assert fusion_leq(a.kind, b, a, n) == oracle_fusion(a.kind, bb, ba, n)
+    one_sided = 0
     for _ in range(30):
         ps, pl = make_sacks(rng), make_laver(rng)
         qs, ql = prune_tree(rng, ps), prune_tree(rng, pl)
@@ -628,6 +626,17 @@ def test_fusion_matches_oracle(rng):
                 oracle_fusion("laver", BruteTree(ql), BruteTree(pl), n)
             )
             assert fusion_leq("product", ProductCond(qs, ql), ProductCond(ps, pl), n) == expected
+        # components drawn independently, so that some pairs fail on one only
+        for xs, xl in ((qs, make_laver(rng)), (make_sacks(rng), ql), (qs, ql)):
+            q, p = ProductCond(xs, xl), ProductCond(ps, pl)
+            below = (xs.nodes <= ps.nodes, xl.nodes <= pl.nodes)
+            one_sided += below[0] != below[1]
+            assert leq("product", q, p) == all(below)
+            expected = oracle_fusion("sacks", BruteTree(xs), BruteTree(ps), 0) and (
+                oracle_fusion("laver", BruteTree(xl), BruteTree(pl), 0)
+            )
+            assert fusion_leq("product", q, p, 0) == expected
+    assert one_sided >= 20
 
 
 def last_level(kind, a, b):
@@ -664,7 +673,7 @@ def test_laver_fusion_counts_canonical_nodes():
     """Laver fusion indices count canonical nodes, not levels, so an index
     past the depth can still tell two trees apart."""
     b = as_laver(full_binary(2))
-    a = FiniteTree("laver", b.nodes - {(1, 1)}, branching_budget=2)
+    a = FiniteTree("laver", b.nodes - {(1, 1)})
     assert fusion_leq("laver", a, b, b.depth)
     assert not fusion_leq("laver", a, b, len(b.nodes))
 
@@ -674,7 +683,6 @@ def test_laver_fusion_counts_canonical_nodes():
 
 
 def test_condition_json_round_trip(rng):
-    budgeted = FiniteTree("laver", make_laver(rng).nodes, branching_budget=3)
     conditions = [
         make_cohen(rng),
         make_hechler(rng),
@@ -682,12 +690,10 @@ def test_condition_json_round_trip(rng):
         make_loc(rng),
         make_sacks(rng),
         make_laver(rng),
-        budgeted,
         ProductCond(make_sacks(rng), make_laver(rng)),
     ]
     for cond in conditions:
         assert condition_from_obj(condition_to_obj(cond)) == cond
-    assert condition_to_obj(budgeted)["branching_budget"] == 3
 
 
 def test_condition_json_rejects_unknown_kind():
