@@ -352,9 +352,6 @@ def family_report(rel: str, witness, family: Family, mode: str) -> RelationRepor
         return RelationReport(rel, mode, reports, None, max_threshold, math.inf)
     if rel not in HIT_RELATIONS:
         raise MalformedInput(f"evading mode needs relation in {HIT_RELATIONS}, got {rel!r}")
-    if rel == "in":
-        hits = tuple(hit_count("in", member, witness) for member in family)
-    else:
-        hits = tuple(hit_count("eq", witness, member) for member in family)
+    hits = tuple(hit_count(rel, member, witness) for member in family)
     min_hits = min(hits, default=math.inf)
     return RelationReport(rel, mode, None, hits, 0, min_hits)

@@ -45,11 +45,13 @@ def _columns(family: Family):
 
 def slalom_dominator(sigma: Slalom) -> FinFunc:
     """z(n) = max(sigma(n)) + 1; dominates anything the slalom captures."""
+    _check_shape(sigma, Slalom, "dominator slalom")
     return FinFunc(tuple(max(cell, default=0) + 1 for cell in sigma.cells))
 
 
 def sum_evader_bound(sigma: Slalom) -> FinFunc:
     """z(n) = 1 + sum(sigma(n)); any f with f(n) >= z(n) has f(n) outside sigma(n)."""
+    _check_shape(sigma, Slalom, "evader bound slalom")
     return FinFunc(tuple(1 + sum(cell) for cell in sigma.cells))
 
 
@@ -82,6 +84,7 @@ def round_robin_ioe(family: Family) -> FinFunc:
 
 def singleton_slalom(g: FinFunc) -> Slalom:
     """The width-1 slalom with cells {g(n)}."""
+    _check_shape(g, FinFunc, "singleton slalom function")
     return Slalom(
         tuple(frozenset({v}) for v in g.values),
         WidthProfile(tuple(1 for _ in g.values)),
@@ -122,22 +125,6 @@ class BlockPartition:
     def block(self, n: int) -> frozenset[int]:
         """J_n, the union of the block's cells."""
         return frozenset().union(*self.cells[n])
-
-    def violations(self) -> list[str]:
-        out = []
-        seen: set[int] = set()
-        for n, block in enumerate(self.cells):
-            if len(block) != self.width[n]:
-                out.append(f"block {n} has {len(block)} cells, width is {self.width[n]}")
-            for cell in block:
-                if not cell:
-                    out.append(f"empty cell in block {n}")
-                if cell & seen:
-                    out.append(f"cells overlap at block {n}")
-                seen |= cell
-        if seen != set(range(self.covered_horizon)):
-            out.append("cells do not cover [0, covered_horizon)")
-        return out
 
 
 @dataclass(frozen=True)
@@ -182,6 +169,8 @@ def block_partition(width: WidthProfile, block_count: int, cell_size: int = 1) -
 
 def block_encode(f: FinFunc, partition: BlockPartition) -> tuple[dict[int, int], ...]:
     """Per block n, f restricted to J_n."""
+    _check_shape(f, FinFunc, "block encode function")
+    _check_shape(partition, BlockPartition, "block partition")
     if f.horizon < partition.covered_horizon:
         raise HorizonTooShort(
             f"horizon {f.horizon} < covered horizon {partition.covered_horizon}"
@@ -199,6 +188,8 @@ def weave(block_slalom: BlockSlalom, partition: BlockPartition) -> FinFunc:
     block's k-th cell, and a cell past the entry's last member stays 0;
     disjoint covering makes g total on [0, covered_horizon).
     """
+    _check_shape(block_slalom, BlockSlalom, "block slalom")
+    _check_shape(partition, BlockPartition, "block partition")
     if block_slalom.width.widths[: partition.block_count] != partition.width.widths[: partition.block_count]:
         raise ShapeMismatch("block slalom and partition disagree on widths")
     if len(block_slalom.entries) != partition.block_count:
@@ -223,6 +214,8 @@ def weave(block_slalom: BlockSlalom, partition: BlockPartition) -> FinFunc:
 
 def columns_slalom(sigma: Slalom, partition: BlockPartition) -> BlockSlalom:
     """w^n_k(l) = k-th greatest member of sigma(l) (1-indexed), 0 if absent."""
+    _check_shape(sigma, Slalom, "columns slalom")
+    _check_shape(partition, BlockPartition, "block partition")
     if sigma.horizon < partition.covered_horizon:
         raise HorizonTooShort(
             f"slalom horizon {sigma.horizon} < covered horizon {partition.covered_horizon}"
@@ -283,16 +276,13 @@ class BitstringFunc:
             if not isinstance(v, str) or any(ch not in "01" for ch in v):
                 raise MalformedInput(f"bitstring values must be over {{0,1}}, got {v!r}")
 
-    @property
-    def horizon(self) -> int:
-        return len(self.values)
-
     def __getitem__(self, n: int) -> str:
         return self.values[n]
 
 
 def string_encode(g: BitstringFunc) -> FinFunc:
     """Replace each string by its enumeration index."""
+    _check_shape(g, BitstringFunc, "encoded bitstring function")
     return FinFunc(tuple(map(index_of, g.values)))
 
 

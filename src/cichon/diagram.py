@@ -15,8 +15,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 from dataclasses import dataclass
-from importlib import resources
 
 from .combinatorics import _check_shape, dump_json
 from .errors import MalformedInput, UnknownForcing
@@ -84,9 +84,6 @@ class Contradiction:
     node: str
     chain: tuple[str, ...]
 
-    def __str__(self):
-        return f"{self.node} forced both ways via {' -> '.join(self.chain)}"
-
 
 @dataclass(frozen=True)
 class DiagramState:
@@ -125,10 +122,7 @@ class DiagramState:
         seen = [node for cls in classes for node in cls]
         if len(seen) != len(REGION_NODES) or not all(node in seen for node in REGION_NODES):
             raise MalformedInput("classes must partition the seven region nodes")
-        separators = self.separators
-        if separators is None:
-            separators = ("distinct",) * (len(classes) - 1)
-        separators = tuple(_check_shape(separators, (list, tuple), "diagram separators"))
+        separators = tuple(_check_shape(self.separators, (list, tuple), "diagram separators"))
         if len(separators) != max(len(classes) - 1, 0):
             raise MalformedInput("need one separator between consecutive classes")
         if any(sep not in SEPARATORS for sep in separators):
@@ -222,8 +216,8 @@ def enumerate_cuts() -> list[Cut]:
 def _load_kb() -> dict[str, DiagramState]:
     """The knowledge base's profiles by forcing name, each entry's fields
     checked as it is decoded; tests check the profiles' soundness."""
-    text = resources.files("cichon").joinpath("data/kb.json").read_text()
-    profiles = json.loads(text)["profiles"]
+    with open(os.path.join(os.path.dirname(__file__), "data", "kb.json"), encoding="utf-8") as f:
+        profiles = json.load(f)["profiles"]
     return {name: DiagramState.from_obj(entry) for name, entry in profiles.items()}
 
 

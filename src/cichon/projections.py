@@ -191,9 +191,7 @@ def reduce_e(q: ECond, from_position: int) -> ECond:
     stem = list(q.stem.values)
     for n in range(from_position, len(stem)):
         side_values = {f[n] for f in q.side}
-        least = _kth_excluded(side_values, 0)
         rank = _rank_outside(side_values, stem[n])
-        ok = rank is not None and (rank < n if n >= 1 else stem[n] == least)
-        if not ok:
-            stem[n] = least
+        if rank is None or rank >= max(n, 1):  # at 0, only the least value outside
+            stem[n] = _kth_excluded(side_values, 0)
     return ECond(FinFunc(tuple(stem)), q.side)

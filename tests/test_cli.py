@@ -658,6 +658,23 @@ def test_lift_size_bound(tmp_path):
         assert err.startswith("MalformedInput: lift needs 1000405 new cell members")
 
 
+def test_value_bounds_admit_exactly_max_values(tmp_path):
+    """A lift of exactly MAX_VALUES new members, and a random family of
+    exactly MAX_VALUES draws, pass the size bound and meet the next check."""
+    cond = write(
+        tmp_path, "c.json",
+        {"kind": "loc", "prefix": [[]] * 1243, "side": {"horizon": 1883, "functions": []}},
+    )  # sum(range(1243, 1883)) = 10**6 new members
+    q = write(tmp_path, "q.json", {"kind": "hechler", "stem": [1] + [0] * 1882, "side": [0] * 1883})
+    code, out, err = invoke(["project", "--map", "loc-d", "--cond", cond, "--lift", q])
+    assert (code, out) == (2, "")
+    assert err.startswith("NotBelowProjection: ")
+    draw = ["construct", "--kind", "random-family", "--seed", "1", "--count", "1000"]
+    code, out, err = invoke(draw + ["--horizon", "1000", "--max-value", str(MAX_NATURAL + 1)])
+    assert (code, out) == (2, "")
+    assert err == "MalformedInput: --max-value exceeds 10**4000\n"
+
+
 def test_random_family_horizon_bound():
     """random-family writes no family that a family file may not declare,
     even one with no members."""

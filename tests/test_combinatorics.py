@@ -27,6 +27,7 @@ from cichon import (
     ProductCond,
     Slalom,
     WidthProfile,
+    block_encode,
     block_partition,
     canonical_enum,
     columns_slalom,
@@ -49,8 +50,12 @@ from cichon import (
     propagate,
     reduce_e,
     round_robin_ioe,
+    singleton_slalom,
+    slalom_dominator,
     splitting_nodes,
+    string_encode,
     string_of,
+    sum_evader_bound,
     validate,
     weave,
 )
@@ -127,6 +132,7 @@ COHEN_PRODUCT = ProductCond(CohenCond(FinFunc(())), FiniteTree("laver", {()}))
 FOO_TREE = FiniteTree("foo", [()])
 E1 = ECond(F1, Family((), 1))
 W1 = WidthProfile((1,))
+P1 = block_partition(W1, 1)
 # Diagram-state fields refused alike when decoded and when built directly.
 BAD_STATES = {
     "node": {"emptiness": {"Nowhere": "empty"}},
@@ -147,6 +153,9 @@ BAD_STATES = {
         "separators": [],
     },
     "separators-without-classes": {"emptiness": {}, "separators": []},
+    "separators-missing": {
+        "emptiness": {}, "classes": [list(REGION_NODES[:1]), list(REGION_NODES[1:])]
+    },
     "classes-number": {"emptiness": {}, "classes": 5},
     "class-number": {"emptiness": {}, "classes": [5]},
     "class-member-number": {"emptiness": {}, "classes": [["BIn", 1]]},
@@ -200,6 +209,17 @@ LIBRARY_REFUSALS = {
     "least-avoider-list": lambda: least_avoider([[1]]),
     "family-slalom-list": lambda: family_slalom([[1]]),
     "round-robin-list": lambda: round_robin_ioe([[1]]),
+    "slalom-dominator-list": lambda: slalom_dominator([[1]]),
+    "sum-evader-bound-list": lambda: sum_evader_bound([[1]]),
+    "singleton-slalom-list": lambda: singleton_slalom([1]),
+    "string-encode-list": lambda: string_encode(["1"]),
+    "block-encode-function-list": lambda: block_encode([1], P1),
+    "block-encode-partition-list": lambda: block_encode(F1, [1]),
+    "weave-block-slalom-list": lambda: weave([[]], P1),
+    "weave-partition-list": lambda: weave(BlockSlalom(((),), W1), [1]),
+    "columns-slalom-list": lambda: columns_slalom([[1]], P1),
+    "columns-partition-list": lambda: columns_slalom(Slalom.identity_width([()]), [1]),
+    "validate-not-a-condition": lambda: validate([1]),
     "condition-to-obj-number": lambda: condition_to_obj(5),
     "unknown-poset-kind": lambda: leq("foo", TREE, TREE),
     "unknown-tree-kind": lambda: leq("foo", FOO_TREE, FOO_TREE),
@@ -262,6 +282,11 @@ def test_wrong_class_has_one_message_form(case):
     """Every value of the wrong class is refused by the one guard, in its words."""
     with pytest.raises(MalformedInput, match=r"^.+ must be a \w+( or \w+)*, got \w+$"):
         LIBRARY_REFUSALS[case]()
+
+
+def test_validate_refuses_a_non_condition():
+    with pytest.raises(KindMismatch, match="^not a condition: list$"):
+        LIBRARY_REFUSALS["validate-not-a-condition"]()
 
 
 @pytest.mark.parametrize("case", sorted(c for c in LIBRARY_REFUSALS if c.startswith("kind-")))

@@ -237,7 +237,6 @@ def test_block_partition_example():
     assert p.cells[1] == (frozenset({1}), frozenset({2}))
     assert p.cells[2] == (frozenset({3}), frozenset({4}), frozenset({5}))
     assert p.covered_horizon == 6
-    assert p.violations() == []
 
 
 def test_block_partition_single():
@@ -255,7 +254,6 @@ def test_block_partition_intervals():
     assert p.cells[0] == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
     assert p.cells[1] == (frozenset({6, 7, 8}),)
     assert p.covered_horizon == 9
-    assert p.violations() == []
 
 
 def test_block_encode():

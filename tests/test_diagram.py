@@ -308,6 +308,16 @@ def test_kb_classes_share_emptiness():
         assert kb_lookup(name).class_violations() == [], name
 
 
+def test_class_violations_name_a_mixed_class():
+    state = DiagramState(
+        {"BIn": "nonempty"}, (REGION_NODES[:2], REGION_NODES[2:]), ("distinct",)
+    )
+    assert state.class_violations() == [
+        "class ['BIn', 'BLeq'] mixes emptiness values ['nonempty', 'unknown']"
+    ]
+    assert DiagramState({}).class_violations() == []
+
+
 def test_kb_unknown_forcing():
     with pytest.raises(UnknownForcing):
         kb_lookup("solovay")
