@@ -11,11 +11,11 @@ Each command returns its result and exit code, and `run` alone writes the
 result, once the command's decoded inputs are freed; a refused call writes
 nothing on stdout.
 
-The parsers are built once per process.  A plain call (every option
-written whole, each value not starting with "-", every required option
-given and every value of its type and among its choices) is read straight
-from its verb parser's action table; the top-level parser parses, and
-words, everything else.
+`_VERBS` is the one table of each verb's options.  A plain call (every
+option written whole, each value not starting with "-", every required
+option given and every value of its type and among its choices) is read
+straight from its verb's rows and builds no parser; argparse, built from the
+same rows once per process, parses and words everything else.
 """
 
 from __future__ import annotations
@@ -70,97 +70,56 @@ def _natural(text: str) -> int:
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and its verb parsers by name, built once."""
+    """The top-level parser and its verb parsers by name, built once from `_VERBS`."""
     parser = argparse.ArgumentParser(
         prog="cichon",
         description="Finite-scale combinatorics of the Cichon diagram.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("diagram", help="render the diagram, optionally for a forcing")
-    p.add_argument("--forcing", help="knowledge-base entry to render")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-
-    p = sub.add_parser("cuts", help="enumerate the upward-closed cuts")
-    p.add_argument("--format", choices=("json",), default="json")
-
-    p = sub.add_parser("check", help="least-threshold check between two objects")
-    p.add_argument("--relation", choices=comb.RELATIONS, required=True)
-    p.add_argument("--f", required=True, metavar="FILE")
-    p.add_argument("--g", required=True, metavar="FILE")
-
-    p = sub.add_parser("construct", help="build a witness from an input file")
-    p.add_argument("--kind", choices=CONSTRUCT_KINDS, required=True)
-    p.add_argument("--family", metavar="FILE")
-    p.add_argument("--horizon", type=_natural)
-    p.add_argument("--seed", type=_natural)
-    p.add_argument("--count", type=_natural, default=4)
-    p.add_argument("--max-value", type=_natural, default=16)
-
-    p = sub.add_parser("poset", help="compare two forcing conditions")
-    p.add_argument("--kind", choices=posets.POSET_KINDS, required=True)
-    p.add_argument("--op", choices=("leq", "fusion"), required=True)
-    p.add_argument("--a", required=True, metavar="FILE")
-    p.add_argument("--b", required=True, metavar="FILE")
-    p.add_argument("--n", type=_natural)
-
-    p = sub.add_parser("project", help="project or lift a localization condition")
-    p.add_argument("--map", choices=("loc-d", "loc-e"), required=True, dest="map_name")
-    p.add_argument("--cond", required=True, metavar="FILE")
-    p.add_argument("--lift", metavar="FILE")
-    p.add_argument("--reduce", action="store_true")
-
-    p = sub.add_parser("kb", help="list the forcing knowledge base")
-    p.add_argument("--list", action="store_true")
-
+    for verb, (_, text, options) in _VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        for option, keywords in options.items():
+            p.add_argument(option, **keywords)
     return parser, sub.choices
 
 
-def _parse_plain(verb: argparse.ArgumentParser, tokens) -> argparse.Namespace | None:
-    """`verb.parse_args(tokens)` when every token is an exact option string
-    of `verb`, a store option's value not starting with "-", or a store_true
-    flag, and every value converts and every required option is given; else
-    None, and argparse parses the call."""
-    options = verb._option_string_actions
-    args = argparse.Namespace(
-        **{a.dest: a.default for a in verb._actions if a.default is not argparse.SUPPRESS}
-    )
-    seen = set()
+def _parse_plain(verb: str, tokens) -> argparse.Namespace | None:
+    """The top-level parser's `parse_args([verb, *tokens])` when every token
+    is an option of `verb` written whole, a store option's value not
+    starting with "-", or a store_true flag, and every value converts and
+    every required option is given; else None, and argparse parses the call."""
+    rows, defaults, required = _PLAIN[verb]
+    args = dict(defaults, verb=verb)
     tokens = iter(tokens)
     for token in tokens:
-        action = options.get(token)
-        if type(action) is argparse._StoreTrueAction:
+        row = rows.get(token)
+        if row is None:
+            return None
+        dest, kw = row
+        if "action" in kw:  # store_true, the table's one action
             value = True
-        elif type(action) is argparse._StoreAction and action.nargs is None:
+        else:
             value = next(tokens, "-")  # a missing value reads as an option
             if value.startswith("-"):
                 return None
-            if action.type is not None:
+            if "type" in kw:
                 try:
-                    value = action.type(value)
+                    value = kw["type"](value)
                 except (argparse.ArgumentTypeError, TypeError, ValueError):
                     return None
-            if action.choices is not None and value not in action.choices:
+            if "choices" in kw and value not in kw["choices"]:
                 return None
-        else:
-            return None
-        setattr(args, action.dest, value)
-        seen.add(action)
-    if any(a.required and a not in seen for a in verb._actions):
+        args[dest] = value
+    if any(args[dest] is None for dest in required):  # a given value is never None
         return None
-    return args
+    return argparse.Namespace(**args)
 
 
 def _parse(argv) -> argparse.Namespace:
     """The top-level parser's `parse_args(argv)`; a plain call is read from
-    its verb parser's action table instead."""
-    parser, verbs = _build_parser()
-    verb = verbs.get(argv[0]) if argv else None
-    args = _parse_plain(verb, argv[1:]) if verb is not None else None
-    if args is None:
-        return parser.parse_args(argv)
-    args.verb = argv[0]
-    return args
+    its verb's rows instead, without building a parser."""
+    args = _parse_plain(argv[0], argv[1:]) if argv and argv[0] in _PLAIN else None
+    return args if args is not None else _build_parser()[0].parse_args(argv)
 
 
 def _cmd_diagram(args):
@@ -297,15 +256,55 @@ def _cmd_kb(args):
     return entries, 0
 
 
-_COMMANDS = {
-    "diagram": _cmd_diagram,
-    "cuts": _cmd_cuts,
-    "check": _cmd_check,
-    "construct": _cmd_construct,
-    "poset": _cmd_poset,
-    "project": _cmd_project,
-    "kb": _cmd_kb,
+# verb -> (command, help, {option: its argparse keywords}): the one place that
+# says which options a verb takes; `_build_parser` and `_parse_plain` read it
+_VERBS = {
+    "diagram": (_cmd_diagram, "render the diagram, optionally for a forcing", {
+        "--forcing": dict(help="knowledge-base entry to render"),
+        "--format": dict(choices=("dot", "json"), default="dot"),
+    }),
+    "cuts": (_cmd_cuts, "enumerate the upward-closed cuts", {
+        "--format": dict(choices=("json",), default="json"),
+    }),
+    "check": (_cmd_check, "least-threshold check between two objects", {
+        "--relation": dict(choices=comb.RELATIONS, required=True),
+        "--f": dict(required=True, metavar="FILE"),
+        "--g": dict(required=True, metavar="FILE"),
+    }),
+    "construct": (_cmd_construct, "build a witness from an input file", {
+        "--kind": dict(choices=CONSTRUCT_KINDS, required=True),
+        "--family": dict(metavar="FILE"),
+        "--horizon": dict(type=_natural),
+        "--seed": dict(type=_natural),
+        "--count": dict(type=_natural, default=4),
+        "--max-value": dict(type=_natural, default=16),
+    }),
+    "poset": (_cmd_poset, "compare two forcing conditions", {
+        "--kind": dict(choices=posets.POSET_KINDS, required=True),
+        "--op": dict(choices=("leq", "fusion"), required=True),
+        "--a": dict(required=True, metavar="FILE"),
+        "--b": dict(required=True, metavar="FILE"),
+        "--n": dict(type=_natural),
+    }),
+    "project": (_cmd_project, "project or lift a localization condition", {
+        "--map": dict(choices=("loc-d", "loc-e"), required=True, dest="map_name"),
+        "--cond": dict(required=True, metavar="FILE"),
+        "--lift": dict(metavar="FILE"),
+        "--reduce": dict(action="store_true"),
+    }),
+    "kb": (_cmd_kb, "list the forcing knowledge base", {"--list": dict(action="store_true")}),
 }
+
+
+def _plain_rows(options):
+    """A verb's options as the plain parse reads them: each option's dest and
+    keywords, the namespace's defaults, and the required options' dests."""
+    rows = {o: (kw.get("dest", o.lstrip("-").replace("-", "_")), kw) for o, kw in options.items()}
+    defaults = {d: kw.get("default", False if "action" in kw else None) for d, kw in rows.values()}
+    return rows, defaults, [d for d, kw in rows.values() if kw.get("required")]
+
+
+_PLAIN = {verb: _plain_rows(options) for verb, (_, _, options) in _VERBS.items()}
 
 
 def run(argv, stdout=None, stderr=None) -> int:
@@ -321,7 +320,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     finally:
         sys.stdout, sys.stderr = streams
     try:
-        payload, code = _COMMANDS[args.verb](args)
+        payload, code = _VERBS[args.verb][0](args)
         if isinstance(payload, str):  # diagram's finished text
             out.write(payload)
         else:

@@ -247,8 +247,15 @@ def avoider_witness(sigma: Slalom, partition: BlockPartition) -> FinFunc:
 # mutually inverse.
 
 
+def _check_bits(bits) -> str:
+    """`bits` if it is a string over {0,1}; else MalformedInput."""
+    if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
+        raise MalformedInput(f"bitstring values must be over {{0,1}}, got {bits!r}")
+    return bits
+
+
 def index_of(bits: str) -> int:
-    n = len(bits)
+    n = len(_check_bits(bits))
     offset = int(bits, 2) if n else 0
     return (1 << n) - 1 + offset
 
@@ -262,6 +269,7 @@ def string_of(index: int) -> str:
 
 def length_range(n: int) -> range:
     """Indices of the length-n strings."""
+    _check_naturals((n,), "string length")
     return range((1 << n) - 1, (1 << (n + 1)) - 1)
 
 
@@ -273,8 +281,7 @@ class BitstringFunc:
 
     def __post_init__(self):
         for v in self.values:
-            if not isinstance(v, str) or any(ch not in "01" for ch in v):
-                raise MalformedInput(f"bitstring values must be over {{0,1}}, got {v!r}")
+            _check_bits(v)
 
     def __getitem__(self, n: int) -> str:
         return self.values[n]

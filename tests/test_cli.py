@@ -182,6 +182,8 @@ def test_construct_horizon_truncates(tmp_path):
         ["construct", "--kind", "dominator", "--family", fam, "--horizon", "9"]
     )
     assert code == 2
+    whole = ["construct", "--kind", "dominator", "--family", fam]
+    assert invoke(whole + ["--horizon", "4"]) == invoke(whole)
 
 
 def test_construct_ioe_empty_family(tmp_path):
@@ -501,6 +503,31 @@ def test_output_independent_of_hash_seed(tmp_path):
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count("\n0 ") == len(HASH_SEED_CALLS) - 1
+
+
+PLAIN_CALL_PROBE = """
+import io
+from cichon import cli
+cli.run(["kb", "--list"], io.StringIO())
+print(cli._build_parser.cache_info().currsize)
+"""
+
+
+def test_module_entry_point_and_a_fresh_plain_call():
+    """`python -m cichon` prints what `run` prints in this process, and in a
+    fresh process a plain call builds no parser."""
+    src = os.path.dirname(os.path.dirname(cichon.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "cichon", "kb", "--list"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, invoke(["kb", "--list"])[1], "")
+    done = subprocess.run(
+        [sys.executable, "-c", PLAIN_CALL_PROBE],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "0\n"
 
 
 def test_results_stay_printable(tmp_path):
@@ -876,6 +903,7 @@ HECHLER = {"kind": "hechler", "stem": [], "side": [0]}
 SWAPPED = {"kind": "product", "sacks": ROOT_ONLY, "laver": {"kind": "sacks", "nodes": [[]]}}
 COHEN_PART = {"kind": "product", "sacks": {"kind": "cohen", "nodes": [[]]}, "laver": ROOT_ONLY}
 NOT_BELOW = {"holds": False}
+ABSENT = object()  # an expected key that stdout lacks
 BRANCHES = {
     "hechler-side-horizons": (LEQ, HECHLER, {**HECHLER, "side": [0, 0]}, 2, "HorizonMismatch: "),
     "e-side-horizons": (LEQ, _e(1), _e(2), 2, "HorizonMismatch: "),
@@ -932,6 +960,19 @@ BRANCHES = {
     "family-member-horizon": (
         FAMILY, {"horizon": 2, "functions": [[1]]}, None, 2, "HorizonMismatch: ",
     ),
+    "check-horizon-0": (
+        ["check", "--relation", "leq", "--f", "{a}", "--g", "{b}"],
+        [], [], 0, {"holds": True, "counterexample_position": ABSENT},
+    ),
+    "random-family-max-value-1": (
+        ["construct", "--kind", "random-family", "--seed", "3", "--horizon", "3", "--count",
+         "2", "--max-value", "1"], None, None, 0, {"functions": [[0, 0, 0], [0, 0, 0]]},
+    ),
+    "leq-prints-no-n": (LEQ, ROOT_ONLY, ROOT_ONLY, 0, {"holds": True, "n": ABSENT}),
+    "fusion-prints-n": (
+        ["poset", "--kind", "laver", "--op", "fusion", "--a", "{a}", "--b", "{b}", "--n", "0"],
+        ROOT_ONLY, ROOT_ONLY, 0, {"holds": True, "n": 0},
+    ),
 }
 
 
@@ -948,7 +989,7 @@ def test_rarely_taken_branches(tmp_path, case):
     else:
         assert err == ""
         payload = json.loads(out)
-        assert {key: payload[key] for key in expected} == expected
+        assert {key: payload.get(key, ABSENT) for key in expected} == expected
 
 
 CLAUSES = {

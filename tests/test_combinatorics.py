@@ -39,9 +39,11 @@ from cichon import (
     family_slalom,
     fusion_leq,
     hit_count,
+    index_of,
     kb_lookup,
     least_avoider,
     least_threshold,
+    length_range,
     leq,
     lift_loc_to_d,
     lift_loc_to_e,
@@ -184,6 +186,13 @@ LIBRARY_REFUSALS = {
     "string-index": lambda: string_of(-1),
     "string-index-string": lambda: string_of("x"),
     "string-index-bool": lambda: string_of(True),
+    # int(bits, 2) alone would read these as the indices of "1" and "01"
+    "bits-signed": lambda: index_of("-1"),
+    "bits-spaced": lambda: index_of(" 1"),
+    "bits-letter": lambda: index_of("x"),
+    "bits-none": lambda: index_of(None),
+    "string-length": lambda: length_range(-1),
+    "string-length-none": lambda: length_range(None),
     "fusion-index": lambda: fusion_leq("sacks", TREE, TREE, -1),
     "fusion-index-string": lambda: fusion_leq("sacks", TREE, TREE, "x"),
     "splitting-level-string": lambda: splitting_nodes(TREE, "x"),

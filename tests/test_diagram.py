@@ -4,6 +4,7 @@ knowledge base region-for-region, and rendering."""
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -350,6 +351,19 @@ def test_dot_has_nine_edges():
     for name in kb_names():
         dot = emit_dot(kb_lookup(name))
         assert dot.count(" -> ") == 9
+
+
+DOT_NODE = re.compile(r'^  "(\w+)"(?: \[style=(\w+)[^\]]*\])?;$', re.M)
+DOT_STYLES = {"filled": "empty", "dashed": "unknown", "": "nonempty"}
+
+
+def test_dot_node_styles_read_back_as_emptiness():
+    """Filled means empty, dashed means unknown and plain means nonempty, on
+    every knowledge-base profile and on the all-unknown state."""
+    states = [kb_lookup(name) for name in kb_names()] + [DiagramState(emptiness={})]
+    for state in states:
+        read = {node: DOT_STYLES[style] for node, style in DOT_NODE.findall(emit_dot(state))}
+        assert read == state.emptiness
 
 
 def test_dot_hechler_clusters():

@@ -81,8 +81,13 @@ def test_validate_loc_family_too_big():
 
 
 def test_validate_hechler_horizons():
-    bad = HechlerCond(FinFunc((1, 2, 3)), FinFunc((1,)))
-    assert validate(bad) != []
+    """A stem longer than the side names the clause: the side of a Hechler
+    condition, the family of an e condition."""
+    stem = FinFunc((1, 2, 3))
+    bad = HechlerCond(stem, FinFunc((1,))), ECond(stem, Family((), 1))
+    assert list(map(validate, bad)) == [
+        ["stem horizon <= side horizon"], ["stem horizon <= family horizon"]
+    ]
 
 
 def test_validate_tree_prefix_closure():
