@@ -102,6 +102,15 @@ def _check_shape(obj, container, what, keys=(), items=None):
     return obj
 
 
+def _as_tuple(values, what):
+    """`tuple(values)` for any iterable; else MalformedInput, as `_check_shape` words it."""
+    try:
+        iter(values)
+    except TypeError:
+        raise MalformedInput(f"{what} must be a list or tuple, got {type(values).__name__}") from None
+    return tuple(values)
+
+
 @dataclass(frozen=True)
 class FinFunc:
     """A natural-valued function on [0, horizon)."""
@@ -109,7 +118,7 @@ class FinFunc:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", _as_tuple(self.values, "FinFunc values"))
         _check_naturals(self.values, "FinFunc values")
 
     @property
@@ -138,7 +147,7 @@ class WidthProfile:
     widths: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(self.widths))
+        object.__setattr__(self, "widths", _as_tuple(self.widths, "widths"))
         _check_naturals(self.widths, "widths")
 
     @property
@@ -168,7 +177,7 @@ class Slalom:
     width: WidthProfile
 
     def __post_init__(self):
-        cells = tuple(self.cells)
+        cells = _as_tuple(self.cells, "slalom cells")
         # before hashing, so an array member is reported
         _check_naturals(list(itertools.chain.from_iterable(cells)), "slalom cell members")
         cells = tuple(map(frozenset, cells))
@@ -188,7 +197,7 @@ class Slalom:
 
     @classmethod
     def identity_width(cls, cells) -> "Slalom":
-        cells = tuple(cells)
+        cells = _as_tuple(cells, "slalom cells")
         return cls(cells, WidthProfile.identity(len(cells)))
 
     def to_obj(self):
@@ -225,7 +234,7 @@ class Family:
     horizon: int
 
     def __post_init__(self):
-        object.__setattr__(self, "functions", tuple(self.functions))
+        object.__setattr__(self, "functions", _as_tuple(self.functions, "family functions"))
         _check_naturals((self.horizon,), "family horizon")
         if self.horizon > MAX_VALUES:
             raise MalformedInput(f"family horizon {self.horizon} exceeds {MAX_VALUES}")

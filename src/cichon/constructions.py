@@ -13,10 +13,12 @@ import operator
 from dataclasses import dataclass
 
 from .combinatorics import (
+    MAX_NATURAL,
     Family,
     FinFunc,
     Slalom,
     WidthProfile,
+    _as_tuple,
     _check_naturals,
     _check_shape,
     least_threshold,
@@ -37,6 +39,12 @@ def _columns(family: Family):
     if not family.functions:
         return [()] * family.horizon
     return zip(*(f.values for f in family))
+
+
+def _outside(excluded, stop=None):
+    """The naturals outside `excluded` (below `stop` if given), in order."""
+    naturals = itertools.count() if stop is None else range(stop)
+    return itertools.filterfalse(excluded.__contains__, naturals)
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +74,7 @@ def least_avoider(family: Family) -> FinFunc:
     Differs from every member at every position while staying bounded by
     the family size, the bounded eventually-different witness.
     """
-    return FinFunc(
-        tuple(
-            next(itertools.filterfalse(set(column).__contains__, itertools.count()))
-            for column in _columns(family)
-        )
-    )
+    return FinFunc(tuple(next(_outside(set(column))) for column in _columns(family)))
 
 
 def round_robin_ioe(family: Family) -> FinFunc:
@@ -244,7 +247,8 @@ def avoider_witness(sigma: Slalom, partition: BlockPartition) -> FinFunc:
 # Binary-string enumeration and the evasion construction.  Strings are
 # enumerated length-then-lexicographically: the length-n strings occupy the
 # index interval [2^n - 1, 2^(n+1) - 1), and index_of and string_of are
-# mutually inverse.
+# mutually inverse.  Lengths stop before an index would reach MAX_NATURAL.
+_MAX_LENGTH = MAX_NATURAL.bit_length() - 2
 
 
 def _check_bits(bits) -> str:
@@ -270,6 +274,8 @@ def string_of(index: int) -> str:
 def length_range(n: int) -> range:
     """Indices of the length-n strings."""
     _check_naturals((n,), "string length")
+    if n > _MAX_LENGTH:
+        raise MalformedInput(f"string length must be at most {_MAX_LENGTH}, got {n}")
     return range((1 << n) - 1, (1 << (n + 1)) - 1)
 
 
@@ -280,8 +286,8 @@ class BitstringFunc:
     values: tuple[str, ...]
 
     def __post_init__(self):
-        for v in self.values:
-            _check_bits(v)
+        values = _as_tuple(self.values, "bitstring values")
+        object.__setattr__(self, "values", tuple(map(_check_bits, values)))
 
     def __getitem__(self, n: int) -> str:
         return self.values[n]

@@ -11,7 +11,10 @@ least-value padding rules, so equal inputs give equal outputs.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .combinatorics import MAX_VALUES, Family, FinFunc, Slalom, _check_naturals
+from .constructions import _columns, _outside
 from .errors import (
     FamilyTooLarge,
     GrowthTooSmall,
@@ -20,17 +23,6 @@ from .errors import (
     RankTooLarge,
 )
 from .posets import ECond, HechlerCond, LocCond, leq, require_valid
-
-
-def _kth_excluded(excluded: frozenset[int] | set[int], k: int) -> int:
-    """The k-th natural number (0-indexed) outside the excluded set."""
-    v = 0
-    while True:
-        if v not in excluded:
-            if k == 0:
-                return v
-            k -= 1
-        v += 1
 
 
 def _rank_outside(excluded: set[int], m: int) -> int | None:
@@ -64,11 +56,8 @@ def proj_loc_to_d(c: LocCond) -> HechlerCond:
     the sum, and only the maximum makes the map order preserving.
     """
     require_valid(c, "loc")
-    fam = c.side
     stem = FinFunc(tuple(max(cell, default=0) for cell in c.prefix.cells))
-    side = FinFunc(
-        tuple(max((f[n] for f in fam), default=0) for n in range(fam.horizon))
-    )
+    side = FinFunc(tuple(max(column, default=0) for column in _columns(c.side)))
     return HechlerCond(stem, side)
 
 
@@ -93,16 +82,11 @@ def lift_loc_to_d(c: LocCond, q: HechlerCond) -> LocCond:
     if not leq("hechler", q, proj_loc_to_d(c)):
         raise NotBelowProjection("target does not strengthen the projection")
     cells = list(s.cells)
-    for n in range(s.horizon, q.stem.horizon):
+    for n, column in enumerate(islice(_columns(fam), s.horizon, q.stem.horizon), s.horizon):
         if q.stem[n] < n - 1:
             raise GrowthTooSmall(f"stem({n}) = {q.stem[n]} < {n} - 1")
-        cell = {f[n] for f in fam} | {q.stem[n]}
-        v = 0
-        while len(cell) < n:
-            if v not in cell and v < q.stem[n]:
-                cell.add(v)
-            v += 1
-        cells.append(frozenset(cell))
+        cell = frozenset((*column, q.stem[n]))
+        cells.append(cell.union(islice(_outside(cell, q.stem[n]), n - len(cell))))
     side = Family(fam.functions + (q.side,), fam.horizon)
     return LocCond(Slalom.identity_width(cells), side)
 
@@ -118,15 +102,11 @@ def proj_loc_to_e(c: LocCond) -> ECond:
     The side family passes through unchanged.
     """
     require_valid(c, "loc")
-    s = c.prefix
-    stem = []
-    for n in range(s.horizon):
-        if n == 0:
-            stem.append(0)
-        else:
-            k = sum(s[n]) % n
-            stem.append(_kth_excluded(s[n], k))
-    return ECond(FinFunc(tuple(stem)), c.side)
+    stem = tuple(
+        next(islice(_outside(cell), sum(cell) % n, None)) if n else 0
+        for n, cell in enumerate(c.prefix.cells)
+    )
+    return ECond(FinFunc(stem), c.side)
 
 
 def lift_loc_to_e(c: LocCond, q: ECond) -> LocCond:
@@ -154,27 +134,21 @@ def lift_loc_to_e(c: LocCond, q: ECond) -> LocCond:
         cap = f"< new position {s.horizon}" if new_positions else f"<= |s| = {s.horizon}"
         raise FamilyTooLarge(f"|side| = {len(q.side)} must be {cap}")
     cells = list(s.cells)
-    for n in new_positions:
+    for n, column in enumerate(islice(_columns(q.side), s.horizon, q.stem.horizon), s.horizon):
         m = q.stem[n]
-        side_values = {f[n] for f in q.side}
+        side_values = set(column)
         rank = _rank_outside(side_values, m)
         if rank is None or rank >= n:
             raise RankTooLarge(
                 f"stem({n}) = {m} has avoidance rank {rank} (needs rank < {n})"
             )
         bound = max(side_values | {m})
-        j = sum(side_values) % n
-        residue = (rank - j) % n
-        first = bound + 1
-        while first % n != residue:
-            first += 1
-        cell = set(side_values) | {first}
-        multiple = ((bound + n) // n) * n
-        while len(cell) < n:
-            if multiple != first:
-                cell.add(multiple)
-            multiple += n
-        cells.append(frozenset(cell))
+        residue = (rank - sum(side_values)) % n
+        first = bound + 1 + (residue - bound - 1) % n  # least v > bound, v % n == residue
+        least = (bound // n + 1) * n  # the least multiple of n above bound
+        start = least + n if least == first else least  # skip first: both lie in (bound, bound + n]
+        pads = range(start, start + (n - 1 - len(side_values)) * n, n)
+        cells.append(frozenset((*side_values, first, *pads)))
     return LocCond(Slalom.identity_width(cells), q.side)
 
 
@@ -189,9 +163,10 @@ def reduce_e(q: ECond, from_position: int) -> ECond:
     require_valid(q, "e")
     _check_naturals((from_position,), "reduce_e start")
     stem = list(q.stem.values)
-    for n in range(from_position, len(stem)):
-        side_values = {f[n] for f in q.side}
+    start = min(from_position, len(stem))  # islice refuses an index past sys.maxsize
+    for n, column in enumerate(islice(_columns(q.side), start, len(stem)), start):
+        side_values = set(column)
         rank = _rank_outside(side_values, stem[n])
         if rank is None or rank >= max(n, 1):  # at 0, only the least value outside
-            stem[n] = _kth_excluded(side_values, 0)
+            stem[n] = next(_outside(side_values))
     return ECond(FinFunc(tuple(stem)), q.side)

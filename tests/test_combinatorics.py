@@ -193,6 +193,9 @@ LIBRARY_REFUSALS = {
     "bits-none": lambda: index_of(None),
     "string-length": lambda: length_range(-1),
     "string-length-none": lambda: length_range(None),
+    # 1 << n alone would try to allocate these
+    "string-length-huge": lambda: length_range(2**63),
+    "string-length-long": lambda: length_range(10**12),
     "fusion-index": lambda: fusion_leq("sacks", TREE, TREE, -1),
     "fusion-index-string": lambda: fusion_leq("sacks", TREE, TREE, "x"),
     "splitting-level-string": lambda: splitting_nodes(TREE, "x"),
@@ -205,6 +208,12 @@ LIBRARY_REFUSALS = {
     ),
     "bitstring-value": lambda: BitstringFunc(("2",)),
     "family-member-list": lambda: Family([[1]], 1),
+    "container-finfunc-none": lambda: FinFunc(None),
+    "container-width-profile-number": lambda: WidthProfile(5),
+    "container-slalom-none": lambda: Slalom(None, W1),
+    "container-slalom-identity-width-number": lambda: Slalom.identity_width(5),
+    "container-family-number": lambda: Family(5, 1),
+    "container-bitstring-none": lambda: BitstringFunc(None),
     "cohen-stem-list": lambda: leq("cohen", CohenCond([1]), CohenCond([1])),
     "hechler-side-list": lambda: leq("hechler", HechlerCond(FinFunc(()), [1]), 1),
     "e-side-list": lambda: validate(ECond(FinFunc(()), [1])),
@@ -273,8 +282,9 @@ def test_library_refusals_are_cichon_errors(case):
 
 # The rows that pass a value of the wrong class for a whole field or argument:
 # a list where a library object belongs, a FinFunc or Slalom target of the
-# other relation, or a number where a diagram-state field belongs (not a
-# wrong class member, which a state refuses by value).
+# other relation, a number where a diagram-state field belongs (not a
+# wrong class member, which a state refuses by value), or a non-iterable
+# where a container's values belong.
 WRONG_CLASS_STATES = {
     f"state-{field}-number" for field in ("emptiness", "classes", "class", "separators", "citation")
 }
@@ -283,6 +293,7 @@ WRONG_CLASS = sorted(
     for c in LIBRARY_REFUSALS
     if c.removesuffix("-decoded") in WRONG_CLASS_STATES
     or (c.endswith(("-list", "-target")) and not c.startswith("state-"))
+    or c.startswith("container-")
 )
 
 

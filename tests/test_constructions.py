@@ -33,9 +33,11 @@ from cichon import (
     sum_evader_bound,
     weave,
 )
+from cichon.combinatorics import MAX_NATURAL
 from cichon.errors import (
     EmptyFamily,
     HorizonTooShort,
+    MalformedInput,
     NoAdmissibleString,
     ShapeMismatch,
     ZeroWidth,
@@ -466,11 +468,20 @@ def test_enumeration_round_trip():
     for k in range(200):
         assert index_of(string_of(k)) == k
     assert list(length_range(3)) == list(range(7, 15))
+    # the longest strings: their last index stays below MAX_NATURAL, the
+    # next length's last index, 2^13288 - 2, would not
+    last = length_range(13286)[-1]
+    assert string_of(last) == "1" * 13286 and index_of(string_of(last)) == last
+    assert last < MAX_NATURAL <= 2 * last + 2
+    with pytest.raises(MalformedInput, match="^string length must be at most 13286, got 13287$"):
+        length_range(13287)
 
 
 def test_string_encode_example():
     g = BitstringFunc(("", "0", "01"))
     assert string_encode(g).values == (0, 1, 4)
+    assert BitstringFunc(["", "0", "01"]) == g  # a list is frozen to a tuple
+    assert hash(BitstringFunc(["01"])) == hash(BitstringFunc(("01",)))
 
 
 def test_string_encode_injective_per_position():

@@ -119,6 +119,15 @@ def test_lift_d_not_below():
         lift_loc_to_d(c, q)
 
 
+def padded_d_cell(c, q, n):
+    """The loc-d lift's cell at new position n, as documented: the family
+    values and q.stem(n), then the least unused values below q.stem(n), up
+    to n members."""
+    cell = {f[n] for f in c.side} | {q.stem[n]}
+    unused = [v for v in range(q.stem[n]) if v not in cell]
+    return frozenset(cell | set(unused[: n - len(cell)]))
+
+
 def test_lift_d_randomized_laws(rng):
     for _ in range(300):
         c, q = make_liftable_d(rng)
@@ -127,6 +136,8 @@ def test_lift_d_randomized_laws(rng):
         assert leq("loc", lifted, c)
         reproj = proj_loc_to_d(lifted)
         assert reproj.stem == q.stem and reproj.side == q.side
+        new = range(c.prefix.horizon, q.stem.horizon)
+        assert lifted.prefix.cells == c.prefix.cells + tuple(padded_d_cell(c, q, n) for n in new)
 
 
 def long_lift_pair(n):
@@ -234,6 +245,21 @@ def test_lift_e_not_below():
         lift_loc_to_e(c, q)
 
 
+def padded_e_cell(q, n):
+    """The loc-e lift's cell at new position n, as documented: the side
+    values; the least value above bound = max(stem value, side values)
+    that brings the cell sum to the stem value's avoidance rank mod n; then
+    the least multiples of n above bound, skipping that value, up to n
+    members."""
+    side = {f[n] for f in q.side}
+    rank = sum(v not in side for v in range(q.stem[n]))
+    bound = max(side | {q.stem[n]})
+    above = range(bound + 1, bound + 1 + (n + 2) * n)
+    first = next(v for v in above if (sum(side) + v) % n == rank % n)
+    multiples = [v for v in above if v % n == 0 and v != first]
+    return frozenset(side | {first} | set(multiples[: n - 1 - len(side)]))
+
+
 def test_lift_e_randomized_laws(rng):
     for _ in range(300):
         c, q = make_liftable_e(rng)
@@ -242,6 +268,8 @@ def test_lift_e_randomized_laws(rng):
         assert leq("loc", lifted, c)
         reproj = proj_loc_to_e(lifted)
         assert reproj.stem.values[: q.stem.horizon] == q.stem.values
+        new = range(c.prefix.horizon, q.stem.horizon)
+        assert lifted.prefix.cells == c.prefix.cells + tuple(padded_e_cell(q, n) for n in new)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +437,7 @@ def test_reduce_example():
 def test_reduce_keeps_liftable():
     q = ECond(FinFunc((0, 1, 1)), Family((FinFunc((7, 7, 7)),), 3))
     assert reduce_e(q, 2) == q
+    assert reduce_e(q, 10**30) == q  # a start past the stem repairs nothing
 
 
 def test_reduce_enables_lift(rng):
