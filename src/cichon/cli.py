@@ -7,9 +7,10 @@ violated precondition: a `CichonError` (a wrong shape or type in a file is
 `OSError`, printed on stderr as `<clause>: <message>`, or argparse's usage
 text.  Outputs are byte-identical across runs on identical inputs.
 
-Each command returns its result and exit code, and `run` alone writes the
-result, once the command's decoded inputs are freed; a refused call writes
-nothing on stdout.
+Each command returns only its result, and `run` alone writes it, once the
+command's decoded inputs are freed, and derives the exit code from it: 1
+exactly when the result's top-level "holds" is false, else 0.  A refused
+call writes nothing on stdout.
 
 `_VERBS` is the one table of each verb's options.  A plain call (every
 option written whole, each value not starting with "-", every required
@@ -124,13 +125,11 @@ def _parse(argv) -> argparse.Namespace:
 
 def _cmd_diagram(args):
     state = dia.kb_lookup(args.forcing) if args.forcing is not None else dia.DiagramState(emptiness={})
-    if args.format == "json":
-        return dia.emit_json(state) + "\n", 0
-    return dia.emit_dot(state), 0
+    return dia.emit_json(state) + "\n" if args.format == "json" else dia.emit_dot(state)
 
 
 def _cmd_cuts(args):
-    return [cut.to_obj() for cut in dia.enumerate_cuts()], 0
+    return [cut.to_obj() for cut in dia.enumerate_cuts()]
 
 
 def _cmd_check(args):
@@ -139,11 +138,10 @@ def _cmd_check(args):
     target = decode(_load_json(args.g))
     report = comb.least_threshold(args.relation, f, target)
     holds = not report.vacuous or f.horizon == 0
-    payload = report.to_obj()
-    payload.update({"relation": args.relation, "horizon": f.horizon, "holds": holds})
-    if report.vacuous and f.horizon > 0:
+    payload = {**report.to_obj(), "relation": args.relation, "horizon": f.horizon, "holds": holds}
+    if not holds:
         payload["counterexample_position"] = f.horizon - 1
-    return payload, 0 if holds else 1
+    return payload
 
 
 def _truncate(obj, horizon):
@@ -173,7 +171,7 @@ def _cmd_construct(args):
             [rng.randrange(args.max_value) for _ in range(args.horizon)]
             for _ in range(args.count)
         ]
-        return {"horizon": args.horizon, "functions": functions}, 0
+        return {"horizon": args.horizon, "functions": functions}
     if args.seed is not None:
         raise MalformedInput("--seed is only accepted by --kind random-family")
     if args.family is None:
@@ -183,7 +181,7 @@ def _cmd_construct(args):
     if args.horizon is not None:
         source = _truncate(source, args.horizon)
     if args.kind == "evader":
-        return {"kind": args.kind, "witness": cons.sum_evader_bound(source).to_obj()}, 0
+        return {"kind": args.kind, "witness": cons.sum_evader_bound(source).to_obj()}
     if args.kind == "slalom":
         sigma, thresholds = cons.family_slalom(source)
         payload = {"witness": sigma.to_obj(), "capture_thresholds": list(thresholds)}
@@ -192,7 +190,7 @@ def _cmd_construct(args):
         witness = getattr(cons, name)(source)
         report = comb.family_report(relation, witness, source, mode)
         payload = {"witness": witness.to_obj(), "report": report.to_obj()}
-    return {"kind": args.kind, **payload}, 0
+    return {"kind": args.kind, **payload}
 
 
 def _cmd_poset(args):
@@ -202,30 +200,23 @@ def _cmd_poset(args):
         if args.n is None:
             raise MalformedInput("fusion comparison needs --n")
         holds = posets.fusion_leq(args.kind, a, b, args.n)
-    else:
-        if args.n is not None:
-            raise MalformedInput("--n applies to --op fusion only")
-        holds = posets.leq(args.kind, a, b)
-    payload = {"kind": args.kind, "op": args.op, "holds": holds}
-    if args.op == "fusion":
-        payload["n"] = args.n
-    return payload, 0 if holds else 1
+        return {"kind": args.kind, "op": args.op, "holds": holds, "n": args.n}
+    if args.n is not None:
+        raise MalformedInput("--n applies to --op fusion only")
+    return {"kind": args.kind, "op": args.op, "holds": posets.leq(args.kind, a, b)}
 
 
 def _cmd_project(args):
     raw = _load_json(args.cond)
+    pair = isinstance(raw, dict) and "loc" in raw  # {"loc": ..., "target": ...}
+    if pair and args.lift is not None:
+        raise MalformedInput("--lift conflicts with a pair file in --cond")
+    cond = posets.condition_from_obj(raw["loc"] if pair else raw)
     target = None
-    if isinstance(raw, dict) and "loc" in raw:
-        # pair file {"loc": ..., "target": ...}
-        if args.lift is not None:
-            raise MalformedInput("--lift conflicts with a pair file in --cond")
-        cond = posets.condition_from_obj(raw["loc"])
-        if "target" in raw:
-            target = posets.condition_from_obj(raw["target"])
-    else:
-        cond = posets.condition_from_obj(raw)
-        if args.lift is not None:
-            target = posets.condition_from_obj(_load_json(args.lift))
+    if pair and "target" in raw:
+        target = posets.condition_from_obj(raw["target"])
+    elif not pair and args.lift is not None:
+        target = posets.condition_from_obj(_load_json(args.lift))
     if args.map_name == "loc-d":
         project, lift = proj.proj_loc_to_d, proj.lift_loc_to_d
     else:
@@ -233,7 +224,7 @@ def _cmd_project(args):
     if args.reduce and (args.map_name != "loc-e" or target is None):
         raise MalformedInput("--reduce applies to a loc-e lift only")
     if target is None:
-        return posets.condition_to_obj(project(cond)), 0
+        return posets.condition_to_obj(project(cond))
     if args.reduce:
         target = proj.reduce_e(target, posets.require_valid(cond, "loc").prefix.horizon)
     lifted = lift(cond, target)
@@ -243,7 +234,7 @@ def _cmd_project(args):
     }
     if args.reduce:
         payload["reduced_target"] = posets.condition_to_obj(target)
-    return payload, 0
+    return payload
 
 
 def _cmd_kb(args):
@@ -253,7 +244,7 @@ def _cmd_kb(args):
         nonempty = sorted(state.nonempty_set(), key=dia.NODE_RANK.get)
         citation = state.citation or ""
         entries.append({"name": name, "citation": citation, "nonempty": nonempty})
-    return entries, 0
+    return entries
 
 
 # verb -> (command, help, {option: its argparse keywords}): the one place that
@@ -320,12 +311,12 @@ def run(argv, stdout=None, stderr=None) -> int:
     finally:
         sys.stdout, sys.stderr = streams
     try:
-        payload, code = _VERBS[args.verb][0](args)
+        payload = _VERBS[args.verb][0](args)
         if isinstance(payload, str):  # diagram's finished text
             out.write(payload)
         else:
             print(_dump(payload), file=out)
-        return code
+        return 1 if isinstance(payload, dict) and payload.get("holds") is False else 0
     except (CichonError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=err)
         return 2

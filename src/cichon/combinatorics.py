@@ -178,8 +178,14 @@ class Slalom:
 
     def __post_init__(self):
         cells = _as_tuple(self.cells, "slalom cells")
+        try:
+            members = list(itertools.chain.from_iterable(cells))
+        except TypeError:  # name the first cell that is not iterable, else re-raise
+            for n, cell in enumerate(cells):
+                _as_tuple(cell, f"slalom cell {n}")
+            raise
         # before hashing, so an array member is reported
-        _check_naturals(list(itertools.chain.from_iterable(cells)), "slalom cell members")
+        _check_naturals(members, "slalom cell members")
         cells = tuple(map(frozenset, cells))
         object.__setattr__(self, "cells", cells)
         _check_shape(self.width, WidthProfile, "slalom width")

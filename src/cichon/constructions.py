@@ -119,7 +119,11 @@ class BlockPartition:
 
     cells: tuple[tuple[frozenset[int], ...], ...]
     width: WidthProfile
-    covered_horizon: int
+
+    @property
+    def covered_horizon(self) -> int:
+        """One past the greatest position of any cell, 0 if there is none."""
+        return 1 + max((x for block in self.cells for cell in block for x in cell), default=-1)
 
     @property
     def block_count(self) -> int:
@@ -139,6 +143,9 @@ class BlockSlalom:
 
     def __post_init__(self):
         _check_shape(self.width, WidthProfile, "block slalom width")
+        object.__setattr__(self, "entries", _as_tuple(self.entries, "block slalom entries"))
+        for entry in self.entries:
+            _check_shape(entry, (list, tuple), "block slalom entry", items=dict)
 
     def __getitem__(self, n: int) -> tuple[dict[int, int], ...]:
         return self.entries[n]
@@ -156,18 +163,16 @@ def block_partition(width: WidthProfile, block_count: int, cell_size: int = 1) -
         )
     if cell_size < 1:
         raise MalformedInput("cell_size must be >= 1")
-    for n in range(block_count):
-        if width[n] == 0:
-            raise ZeroWidth(f"h({n}) = 0; blocks need width >= 1")
+    widths = width.widths[:block_count]
+    if 0 in widths:
+        raise ZeroWidth(f"h({widths.index(0)}) = 0; blocks need width >= 1")
     cells = []
     pos = 0
-    for n in range(block_count):
-        block = []
-        for _ in range(width[n]):
-            block.append(frozenset(range(pos, pos + cell_size)))
-            pos += cell_size
-        cells.append(tuple(block))
-    return BlockPartition(tuple(cells), width, pos)
+    for h_n in widths:
+        stop = pos + h_n * cell_size
+        cells.append(tuple(frozenset(range(x, x + cell_size)) for x in range(pos, stop, cell_size)))
+        pos = stop
+    return BlockPartition(tuple(cells), width)
 
 
 def block_encode(f: FinFunc, partition: BlockPartition) -> tuple[dict[int, int], ...]:
@@ -225,14 +230,10 @@ def columns_slalom(sigma: Slalom, partition: BlockPartition) -> BlockSlalom:
         )
     entries = []
     for n in range(partition.block_count):
-        block_positions = sorted(partition.block(n))
+        ranked = {l: sorted(sigma[l], reverse=True) for l in sorted(partition.block(n))}
         members = []
-        for k in range(1, partition.width[n] + 1):
-            w = {}
-            for l in block_positions:
-                ranked = sorted(sigma[l], reverse=True)
-                w[l] = ranked[k - 1] if len(ranked) >= k else 0
-            members.append(w)
+        for k in range(partition.width[n]):
+            members.append({l: cell[k] if len(cell) > k else 0 for l, cell in ranked.items()})
         entries.append(tuple(members))
     return BlockSlalom(tuple(entries), partition.width)
 

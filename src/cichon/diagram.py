@@ -240,20 +240,17 @@ def emit_json(state: DiagramState) -> str:
     return dump_json(_check_shape(state, DiagramState, "diagram state").to_obj())
 
 
+# emptiness value -> its DOT node attributes
+_DOT_STYLES = {"empty": " [style=filled, fillcolor=gray85]", "unknown": " [style=dashed]", "nonempty": ""}
+
+
 def emit_dot(state: DiagramState) -> str:
     """Render as a DOT digraph: shaded = empty, dashed border = unknown,
     plain = nonempty; equality classes become same-rank clusters."""
     _check_shape(state, DiagramState, "diagram state")
     lines = ["digraph cichon {", "  rankdir=LR;", '  node [shape=box];']
     for node in NODES:
-        value = state.emptiness[node]
-        if value == "empty":
-            attrs = ' [style=filled, fillcolor=gray85]'
-        elif value == "unknown":
-            attrs = ' [style=dashed]'
-        else:
-            attrs = ""
-        lines.append(f'  "{node}"{attrs};')
+        lines.append(f'  "{node}"{_DOT_STYLES[state.emptiness[node]]};')
     if state.classes is not None:
         for i, cls in enumerate(state.classes):
             lines.append(f"  subgraph cluster_{i} {{")

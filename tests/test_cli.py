@@ -513,16 +513,21 @@ print(cli._build_parser.cache_info().currsize)
 """
 
 
-def test_module_entry_point_and_a_fresh_plain_call():
-    """`python -m cichon` prints what `run` prints in this process, and in a
-    fresh process a plain call builds no parser."""
+def test_module_entry_point_and_a_fresh_plain_call(tmp_path):
+    """`python -m cichon` prints what `run` prints in this process and exits
+    with what it returns, 1 included, and in a fresh process a plain call
+    builds no parser."""
     src = os.path.dirname(os.path.dirname(cichon.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-m", "cichon", "kb", "--list"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (0, invoke(["kb", "--list"])[1], "")
+    weaker = write(tmp_path, "b.json", {"kind": "cohen", "stem": [1]})
+    stronger = write(tmp_path, "a.json", {"kind": "cohen", "stem": [1, 5]})
+    fails = ["poset", "--kind", "cohen", "--op", "leq", "--a", weaker, "--b", stronger]
+    for argv, code in ((["kb", "--list"], 0), (fails, 1)):
+        done = subprocess.run(
+            [sys.executable, "-m", "cichon", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, invoke(argv)[1], "")
     done = subprocess.run(
         [sys.executable, "-c", PLAIN_CALL_PROBE],
         env=env, capture_output=True, text=True, timeout=60, check=True,

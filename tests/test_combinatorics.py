@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import cichon
 from cichon import (
     BitstringFunc,
+    BlockPartition,
     BlockSlalom,
     CohenCond,
     DiagramState,
@@ -27,6 +28,7 @@ from cichon import (
     ProductCond,
     Slalom,
     WidthProfile,
+    avoider_witness,
     block_encode,
     block_partition,
     canonical_enum,
@@ -222,6 +224,15 @@ LIBRARY_REFUSALS = {
     "slalom-width-list": lambda: Slalom([[1]], [1]),
     "block-partition-width-list": lambda: block_partition([1], 1),
     "block-slalom-width-list": lambda: weave(BlockSlalom(((),), [1]), block_partition(W1, 1)),
+    "container-block-slalom-none": lambda: weave(BlockSlalom(None, W1), P1),
+    "container-block-slalom-entry-number": lambda: weave(BlockSlalom((5,), W1), P1),
+    "block-slalom-member-number": lambda: weave(BlockSlalom(((5,),), W1), P1),
+    "container-slalom-cell-number": lambda: Slalom([5], W1),
+    # a hand-built partition whose one cell lies past position 0
+    "far-partition-encode": lambda: block_encode(F1, BlockPartition(((frozenset({5}),),), W1)),
+    "far-partition-avoider": lambda: avoider_witness(
+        Slalom.identity_width([()]), BlockPartition(((frozenset({5}),),), W1)
+    ),
     "evasion-target-list": lambda: evasion_target([[1]]),
     "family-dominator-list": lambda: family_dominator([[1]]),
     "least-avoider-list": lambda: least_avoider([[1]]),

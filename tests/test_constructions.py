@@ -8,6 +8,7 @@ import pytest
 
 from cichon import (
     BitstringFunc,
+    BlockPartition,
     BlockSlalom,
     Family,
     FinFunc,
@@ -296,6 +297,11 @@ def test_weave_pads_with_zero():
     p = block_partition(width, 1)
     sigma = BlockSlalom(((),), width)
     assert weave(sigma, p).values == (0, 0)
+    # a position no cell holds is 0 too, up to the cells' covered horizon
+    width = WidthProfile((1,))
+    far = BlockPartition(((frozenset({5}),),), width)
+    assert far.covered_horizon == 6
+    assert weave(BlockSlalom((({5: 7},),), width), far).values == (0, 0, 0, 0, 0, 7)
 
 
 def test_weave_matches_definition(rng):
