@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .combinatorics import (
     MAX_NATURAL,
+    MAX_VALUES,
     Family,
     FinFunc,
     Slalom,
@@ -41,10 +42,9 @@ def _columns(family: Family):
     return zip(*(f.values for f in family))
 
 
-def _outside(excluded, stop=None):
-    """The naturals outside `excluded` (below `stop` if given), in order."""
-    naturals = itertools.count() if stop is None else range(stop)
-    return itertools.filterfalse(excluded.__contains__, naturals)
+def _outside(excluded):
+    """The naturals outside `excluded`, in order."""
+    return itertools.filterfalse(excluded.__contains__, itertools.count())
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +115,27 @@ def family_slalom(family: Family) -> tuple[Slalom, tuple[int, ...]]:
 @dataclass(frozen=True)
 class BlockPartition:
     """Disjoint nonempty position cells J_{n,k}, k in {1..h(n)}, covering
-    [0, covered_horizon)."""
+    [0, covered_horizon).
+
+    The fields are checked when the partition is built (MalformedInput):
+    each block is a list or tuple of frozensets of positions (stored as a
+    tuple), and every position is a natural below MAX_VALUES.
+    """
 
     cells: tuple[tuple[frozenset[int], ...], ...]
     width: WidthProfile
+
+    def __post_init__(self):
+        _check_shape(self.width, WidthProfile, "block partition width")
+        blocks = tuple(
+            tuple(_check_shape(b, (list, tuple), "block partition block", items=frozenset))
+            for b in _as_tuple(self.cells, "block partition cells")
+        )
+        object.__setattr__(self, "cells", blocks)
+        positions = [x for block in self.cells for cell in block for x in cell]
+        _check_naturals(positions, "block partition positions")
+        if max(positions, default=-1) >= MAX_VALUES:
+            raise MalformedInput(f"block partition positions must be below {MAX_VALUES}")
 
     @property
     def covered_horizon(self) -> int:
@@ -166,6 +183,9 @@ def block_partition(width: WidthProfile, block_count: int, cell_size: int = 1) -
     widths = width.widths[:block_count]
     if 0 in widths:
         raise ZeroWidth(f"h({widths.index(0)}) = 0; blocks need width >= 1")
+    positions = cell_size * sum(widths)
+    if positions > MAX_VALUES:
+        raise MalformedInput(f"block partition needs {positions} positions, over {MAX_VALUES}")
     cells = []
     pos = 0
     for h_n in widths:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -123,7 +124,7 @@ class DiagramState:
         if len(seen) != len(REGION_NODES) or not all(node in seen for node in REGION_NODES):
             raise MalformedInput("classes must partition the seven region nodes")
         separators = tuple(_check_shape(self.separators, (list, tuple), "diagram separators"))
-        if len(separators) != max(len(classes) - 1, 0):
+        if len(separators) != len(classes) - 1:
             raise MalformedInput("need one separator between consecutive classes")
         if any(sep not in SEPARATORS for sep in separators):
             raise MalformedInput(f"separators must be in {SEPARATORS}")
@@ -197,15 +198,9 @@ def enumerate_cuts() -> list[Cut]:
     """All upward-closed subsets of the seven region nodes, each paired
     with its realizing forcing, in (size, node order) order."""
     realizers = {kb_lookup(name).nonempty_set(): name for name in kb_names()}
-    cuts = []
-    for mask in range(1 << len(REGION_NODES)):
-        subset = frozenset(
-            node for i, node in enumerate(REGION_NODES) if mask & (1 << i)
-        )
-        if is_upward_closed(subset):
-            cuts.append(Cut(subset, realizers.get(subset)))
-    cuts.sort(key=lambda c: (len(c.nonempty), sorted(map(NODE_RANK.get, c.nonempty))))
-    return cuts
+    sizes = range(len(REGION_NODES) + 1)
+    subsets = (frozenset(c) for size in sizes for c in itertools.combinations(REGION_NODES, size))
+    return [Cut(subset, realizers.get(subset)) for subset in subsets if is_upward_closed(subset)]
 
 
 # ---------------------------------------------------------------------------

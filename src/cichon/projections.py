@@ -86,7 +86,7 @@ def lift_loc_to_d(c: LocCond, q: HechlerCond) -> LocCond:
         if q.stem[n] < n - 1:
             raise GrowthTooSmall(f"stem({n}) = {q.stem[n]} < {n} - 1")
         cell = frozenset((*column, q.stem[n]))
-        cells.append(cell.union(islice(_outside(cell, q.stem[n]), n - len(cell))))
+        cells.append(cell.union(islice(_outside(cell), n - len(cell))))
     side = Family(fam.functions + (q.side,), fam.horizon)
     return LocCond(Slalom.identity_width(cells), side)
 
@@ -167,6 +167,6 @@ def reduce_e(q: ECond, from_position: int) -> ECond:
     for n, column in enumerate(islice(_columns(q.side), start, len(stem)), start):
         side_values = set(column)
         rank = _rank_outside(side_values, stem[n])
-        if rank is None or rank >= max(n, 1):  # at 0, only the least value outside
+        if rank is None or rank >= n:
             stem[n] = next(_outside(side_values))
     return ECond(FinFunc(tuple(stem)), q.side)

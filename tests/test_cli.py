@@ -126,9 +126,15 @@ def test_construct_dominator(tmp_path):
     fam = write(tmp_path, "fam.json", {"horizon": 2, "functions": [[1, 2], [3, 0]]})
     code, out, _ = invoke(["construct", "--kind", "dominator", "--family", fam])
     assert code == 0
-    payload = json.loads(out)
-    assert payload["witness"] == [4, 3]
-    assert payload["report"]["max_threshold"] == 0
+    capture = {"threshold": 0, "vacuous": False}
+    assert json.loads(out) == {
+        "kind": "dominator",
+        "witness": [4, 3],
+        "report": {
+            "relation": "leq", "mode": "bounding", "thresholds": [capture, capture],
+            "hits": None, "max_threshold": 0, "min_hits": "inf",
+        },
+    }
 
 
 def test_construct_ioe(tmp_path):
@@ -137,7 +143,14 @@ def test_construct_ioe(tmp_path):
     )
     code, out, _ = invoke(["construct", "--kind", "ioe", "--family", fam])
     assert code == 0
-    assert json.loads(out)["witness"] == [5, 7, 5, 7]
+    assert json.loads(out) == {
+        "kind": "ioe",
+        "witness": [5, 7, 5, 7],
+        "report": {
+            "relation": "eq", "mode": "evading", "thresholds": None,
+            "hits": [2, 2], "max_threshold": 0, "min_hits": 2,
+        },
+    }
 
 
 def test_construct_slalom(tmp_path):
@@ -202,6 +215,9 @@ def test_construct_random_family_seeded():
     payload = json.loads(first[1])
     assert payload["horizon"] == 6
     assert len(payload["functions"]) == 4
+    # 4 x 64 = 256 draws below the default --max-value
+    wide = ["construct", "--kind", "random-family", "--horizon", "64", "--seed", "7"]
+    assert invoke(wide) == invoke(wide + ["--max-value", "16"])
 
 
 def test_construct_seed_rejected_elsewhere(tmp_path):
@@ -514,20 +530,22 @@ print(cli._build_parser.cache_info().currsize)
 
 
 def test_module_entry_point_and_a_fresh_plain_call(tmp_path):
-    """`python -m cichon` prints what `run` prints in this process and exits
-    with what it returns, 1 included, and in a fresh process a plain call
-    builds no parser."""
+    """`python -m cichon` prints what `run` prints in this process, on the
+    same streams, and exits with what it returns, 1 and 2 included, and in a
+    fresh process a plain call builds no parser."""
     src = os.path.dirname(os.path.dirname(cichon.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     weaker = write(tmp_path, "b.json", {"kind": "cohen", "stem": [1]})
     stronger = write(tmp_path, "a.json", {"kind": "cohen", "stem": [1, 5]})
     fails = ["poset", "--kind", "cohen", "--op", "leq", "--a", weaker, "--b", stronger]
-    for argv, code in ((["kb", "--list"], 0), (fails, 1)):
+    refused = ["diagram", "--forcing", "solovay"]
+    for argv, code in ((["kb", "--list"], 0), (["diagram"], 0), (fails, 1), (refused, 2)):
         done = subprocess.run(
             [sys.executable, "-m", "cichon", *argv],
             env=env, capture_output=True, text=True, timeout=60,
         )
-        assert (done.returncode, done.stdout, done.stderr) == (code, invoke(argv)[1], "")
+        assert (done.returncode, done.stdout, done.stderr) == invoke(argv)
+        assert done.returncode == code
     done = subprocess.run(
         [sys.executable, "-c", PLAIN_CALL_PROBE],
         env=env, capture_output=True, text=True, timeout=60, check=True,
@@ -605,36 +623,86 @@ PROJECT = ["project", "--map", "loc-d", "--cond", "{f}"]
 CHECK = ["check", "--relation", "leq", "--f", "{f}", "--g", "{f}"]
 NO_SIDE = {"horizon": 1, "functions": []}
 ROOT_ONLY = {"kind": "laver", "nodes": [[]]}
+ENTRIES = "MalformedInput: {} node entries must be natural numbers\n"
+# case -> (argv, file, stderr): the whole of it, or, where the interpreter's
+# JSON decoder words the fault, its start
 MALFORMED = {
-    "laver-string-entry-no-root": (POSET, {"kind": "laver", "nodes": [["a"]]}),
-    "laver-string-child": (POSET, {"kind": "laver", "nodes": [[], ["a"]]}),
-    "sacks-bool-child": (POSET, {"kind": "sacks", "nodes": [[], [True]]}),
-    "laver-array-entry": (POSET, {"kind": "laver", "nodes": [[], [[1]]]}),
-    "laver-object-node": (POSET, {"kind": "laver", "nodes": [{}]}),
-    "nodes-number": (POSET, {"kind": "laver", "nodes": 5}),
+    "laver-string-entry-no-root": (
+        POSET, {"kind": "laver", "nodes": [["a"]]}, ENTRIES.format("laver"),
+    ),
+    "laver-string-child": (
+        POSET, {"kind": "laver", "nodes": [[], ["a"]]}, ENTRIES.format("laver"),
+    ),
+    "sacks-bool-child": (
+        POSET, {"kind": "sacks", "nodes": [[], [True]]}, ENTRIES.format("sacks"),
+    ),
+    "laver-array-entry": (
+        POSET, {"kind": "laver", "nodes": [[], [[1]]]}, ENTRIES.format("laver"),
+    ),
+    "laver-object-node": (
+        POSET, {"kind": "laver", "nodes": [{}]},
+        "MalformedInput: laver nodes must hold only lists\n",
+    ),
+    "nodes-number": (
+        POSET, {"kind": "laver", "nodes": 5},
+        "MalformedInput: laver nodes must be a list, got int\n",
+    ),
     "product-of-cohen": (
         POSET,
         {"kind": "product", "sacks": {"kind": "cohen", "stem": []}, "laver": ROOT_ONLY},
+        "MalformedInput: tree needs the key 'nodes'\n",
     ),
-    "loc-prefix-number": (PROJECT, {"kind": "loc", "prefix": 5, "side": NO_SIDE}),
-    "functions-number": (FAMILY, {"horizon": 1, "functions": 5}),
-    "horizon-float": (FAMILY, {"horizon": 3.7, "functions": []}),
-    "horizon-bool": (FAMILY, {"horizon": True, "functions": []}),
-    "cells-number": (EVADER, {"cells": [5]}),
-    "deep-nesting": (CHECK, "[" * 100_000),
+    "cohen-without-stem": (
+        POSET, {"kind": "cohen"}, "MalformedInput: cohen condition needs the key 'stem'\n",
+    ),
+    "hechler-without-side": (
+        POSET, {"kind": "hechler", "stem": []},
+        "MalformedInput: hechler condition needs the key 'side'\n",
+    ),
+    "e-without-side": (
+        POSET, {"kind": "e", "stem": []}, "MalformedInput: e condition needs the key 'side'\n",
+    ),
+    "loc-without-side": (
+        POSET, {"kind": "loc", "prefix": []},
+        "MalformedInput: loc condition needs the key 'side'\n",
+    ),
+    "product-without-laver": (
+        POSET, {"kind": "product", "sacks": {"kind": "sacks", "nodes": [[]]}},
+        "MalformedInput: product condition needs the key 'laver'\n",
+    ),
+    "loc-prefix-number": (
+        PROJECT, {"kind": "loc", "prefix": 5, "side": NO_SIDE},
+        "MalformedInput: loc prefix must be a list, got int\n",
+    ),
+    "functions-number": (
+        FAMILY, {"horizon": 1, "functions": 5},
+        "MalformedInput: family functions must be a list, got int\n",
+    ),
+    "horizon-float": (
+        FAMILY, {"horizon": 3.7, "functions": []},
+        "MalformedInput: family horizon must be natural numbers, got 3.7\n",
+    ),
+    "horizon-bool": (
+        FAMILY, {"horizon": True, "functions": []},
+        "MalformedInput: family horizon must be natural numbers, got True\n",
+    ),
+    "cells-number": (
+        EVADER, {"cells": [5]}, "MalformedInput: slalom cells must hold only lists\n",
+    ),
+    "deep-nesting": (CHECK, "[" * 100_000, "MalformedInput: {f}: not readable JSON: "),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_names_clause(tmp_path, case):
-    argv, payload = MALFORMED[case]
+    argv, payload, message = MALFORMED[case]
     path = tmp_path / "in.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     kind = payload.get("kind", "") if isinstance(payload, dict) else ""
     code, out, err = invoke([a.format(f=path, kind=kind) for a in argv])
     assert code == 2
     assert out == ""
-    assert err.startswith(("MalformedInput: ", "InvalidCondition: "))
+    assert err.startswith(message.replace("{f}", str(path)))
 
 
 @pytest.mark.parametrize(
@@ -701,10 +769,13 @@ def test_value_bounds_admit_exactly_max_values(tmp_path):
     code, out, err = invoke(["project", "--map", "loc-d", "--cond", cond, "--lift", q])
     assert (code, out) == (2, "")
     assert err.startswith("NotBelowProjection: ")
-    draw = ["construct", "--kind", "random-family", "--seed", "1", "--count", "1000"]
-    code, out, err = invoke(draw + ["--horizon", "1000", "--max-value", str(MAX_NATURAL + 1)])
-    assert (code, out) == (2, "")
-    assert err == "MalformedInput: --max-value exceeds 10**4000\n"
+    draw = ["construct", "--kind", "random-family", "--seed", "1"]
+    # a member costs one value even on horizon 0
+    for count, horizon in (("1000", "1000"), ("1000000", "1"), ("1000000", "0")):
+        too_large = ["--max-value", str(MAX_NATURAL + 1)]
+        code, out, err = invoke(draw + ["--count", count, "--horizon", horizon] + too_large)
+        assert (code, out) == (2, "")
+        assert err == "MalformedInput: --max-value exceeds 10**4000\n"
 
 
 def test_random_family_horizon_bound():
@@ -924,6 +995,10 @@ BRANCHES = {
         LEQ + ["--n", "3"], ROOT_ONLY, ROOT_ONLY, 2,
         "MalformedInput: --n applies to --op fusion only",
     ),
+    "fusion-without-n": (
+        ["poset", "--kind", "laver", "--op", "fusion", "--a", "{a}", "--b", "{b}"],
+        ROOT_ONLY, ROOT_ONLY, 2, "MalformedInput: fusion comparison needs --n\n",
+    ),
     "fusion-non-fusion-kind": (
         ["poset", "--kind", "cohen", "--op", "fusion", "--a", "{a}", "--b", "{b}", "--n", "0"],
         ROOT_ONLY, ROOT_ONLY, 2, "KindMismatch: fusion orders exist for ",
@@ -939,8 +1014,16 @@ BRANCHES = {
         ["construct", "--kind", "evader", "--family", "{a}", "--horizon", "2"],
         {"cells": [[], [1], [1, 2]]}, None, 0, {"witness": [1, 2]},
     ),
+    "construct-horizon-past-input": (
+        FAMILY + ["--horizon", "3"], {"horizon": 2, "functions": [[1, 2]]}, None, 2,
+        "MalformedInput: --horizon 3 exceeds the input's 2\n",
+    ),
     "dominator-without-family": (
         ["construct", "--kind", "dominator"], None, None, 2, "MalformedInput: ",
+    ),
+    "project-pair-without-target": (
+        ["project", "--map", "loc-d", "--cond", "{a}"], {"loc": _loc([[], [3]], 3, [[1, 4, 2]])},
+        None, 0, {"kind": "hechler", "stem": [0, 3], "side": [1, 4, 2]},
     ),
     "project-pair-and-lift": (LIFT, {"loc": _loc([[]], 1)}, HECHLER, 2, "MalformedInput: "),
     "project-non-loc": (

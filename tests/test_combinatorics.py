@@ -63,7 +63,7 @@ from cichon import (
     validate,
     weave,
 )
-from cichon.combinatorics import MAX_NATURAL, _check_naturals, dump_json
+from cichon.combinatorics import MAX_NATURAL, MAX_VALUES, _check_naturals, dump_json
 from cichon.diagram import REGION_NODES
 from cichon.errors import CichonError, HorizonMismatch, KindMismatch, MalformedInput
 from cichon.posets import condition_to_obj
@@ -143,6 +143,17 @@ BAD_STATES = {
     "value": {"emptiness": {"BIn": "maybe"}},
     "emptiness-number": {"emptiness": 5},
     "classes": {"emptiness": {}, "classes": [["BIn"]]},
+    # seven members under valid separators, so only the partition rule refuses
+    "classes-duplicate-for-missing": {
+        "emptiness": {},
+        "classes": [[REGION_NODES[0], REGION_NODES[0]], list(REGION_NODES[2:])],
+        "separators": ["distinct"],
+    },
+    "classes-extra-duplicate": {
+        "emptiness": {},
+        "classes": [list(REGION_NODES), [REGION_NODES[0]]],
+        "separators": ["distinct"],
+    },
     "separator-count": {
         "emptiness": {}, "classes": [list(REGION_NODES)], "separators": ["distinct"]
     },
@@ -179,12 +190,17 @@ LIBRARY_REFUSALS = {
     "finfunc-target": lambda: least_threshold("leq", F1, Slalom.identity_width([()])),
     "hit-relation-name": lambda: hit_count("leq", F1, F1),
     "mode-name": lambda: family_report("leq", F1, Family((F1,), 1), "sideways"),
+    # a hit relation would pass the evading branch
+    "mode-name-eq": lambda: family_report("eq", F1, Family((F1,), 1), "sideways"),
     "evading-relation": lambda: family_report("leq", F1, Family((F1,), 1), "evading"),
+    # no member for hit_count to refuse
+    "evading-relation-empty-family": lambda: family_report("leq", F1, Family((), 1), "evading"),
     "too-many-blocks": lambda: block_partition(WidthProfile((1,)), 2),
     "cell-size": lambda: block_partition(WidthProfile((1,)), 1, cell_size=0),
     "block-count-string": lambda: block_partition(W1, "x"),
     "block-count-negative": lambda: block_partition(W1, -1),
     "cell-size-string": lambda: block_partition(W1, 1, cell_size="x"),
+    "block-partition-huge-width": lambda: block_partition(WidthProfile((10**12,)), 1),
     "string-index": lambda: string_of(-1),
     "string-index-string": lambda: string_of("x"),
     "string-index-bool": lambda: string_of(True),
@@ -218,8 +234,11 @@ LIBRARY_REFUSALS = {
     "container-bitstring-none": lambda: BitstringFunc(None),
     "cohen-stem-list": lambda: leq("cohen", CohenCond([1]), CohenCond([1])),
     "hechler-side-list": lambda: leq("hechler", HechlerCond(FinFunc(()), [1]), 1),
+    "hechler-stem-list": lambda: HechlerCond([1], F1),
     "e-side-list": lambda: validate(ECond(FinFunc(()), [1])),
+    "e-stem-list": lambda: ECond([1], Family((), 1)),
     "loc-prefix-list": lambda: LocCond([[1]], Family((), 1)),
+    "loc-side-list": lambda: LocCond(Slalom.identity_width([()]), [[1]]),
     "threshold-argument-list": lambda: least_threshold("leq", [1], FinFunc((1,))),
     "slalom-width-list": lambda: Slalom([[1]], [1]),
     "block-partition-width-list": lambda: block_partition([1], 1),
@@ -232,6 +251,19 @@ LIBRARY_REFUSALS = {
     "far-partition-encode": lambda: block_encode(F1, BlockPartition(((frozenset({5}),),), W1)),
     "far-partition-avoider": lambda: avoider_witness(
         Slalom.identity_width([()]), BlockPartition(((frozenset({5}),),), W1)
+    ),
+    # hand-built partitions with junk fields, and one past MAX_VALUES positions
+    "container-block-partition-cells-none": lambda: block_encode(F1, BlockPartition(None, W1)),
+    "container-block-partition-block-number": lambda: block_encode(F1, BlockPartition((5,), W1)),
+    "block-partition-cell-number": lambda: block_encode(F1, BlockPartition(((5,),), W1)),
+    "block-partition-position-string": lambda: block_encode(
+        F1, BlockPartition(((frozenset({"a"}),),), W1)
+    ),
+    "block-partition-position-past-max-values": lambda: weave(
+        BlockSlalom(((),), W1), BlockPartition(((frozenset({0, MAX_VALUES}),),), W1)
+    ),
+    "block-partition-class-width-list": lambda: weave(
+        BlockSlalom(((),), W1), BlockPartition((), [1])
     ),
     "evasion-target-list": lambda: evasion_target([[1]]),
     "family-dominator-list": lambda: family_dominator([[1]]),
@@ -260,6 +292,7 @@ LIBRARY_REFUSALS = {
         f"state-{name}-decoded": functools.partial(DiagramState.from_obj, fields)
         for name, fields in BAD_STATES.items()
     },
+    "diagram-state-from-obj-list": lambda: DiagramState.from_obj([]),
     "propagate-list": lambda: propagate([]),
     "emit-json-list": lambda: emit_json([]),
     "emit-dot-list": lambda: emit_dot([]),
@@ -268,6 +301,8 @@ LIBRARY_REFUSALS = {
     "tree-string-entry-unknown-kind": lambda: FiniteTree("foo", {(), ("a",), (0,)}),
     "tree-nodes-number": lambda: FiniteTree("sacks", 5),
     "tree-node-number": lambda: FiniteTree("sacks", [5]),
+    # the least entry's magnitude is 0, the greatest's 10**4000
+    "tree-entry-past-max-natural": lambda: FiniteTree("laver", [(), (0,), (10**4000,)]),
     "product-of-cohen": lambda: leq("product", COHEN_PRODUCT, COHEN_PRODUCT),
     "family-negative-horizon": lambda: Family((), -1),
     "family-string-horizon": lambda: Family((), "x"),
@@ -278,6 +313,7 @@ LIBRARY_REFUSALS = {
     "kind-canonical-enum": lambda: canonical_enum(TREE),
     "kind-proj-loc-to-d": lambda: proj_loc_to_d(CohenCond(F1)),
     "kind-proj-loc-to-e": lambda: proj_loc_to_e(CohenCond(F1)),
+    "kind-leq-first": lambda: leq("e", TREE, E1),
     "kind-lift-loc-to-d": lambda: lift_loc_to_d(LOC, TREE),
     "kind-lift-loc-to-e": lambda: lift_loc_to_e(LOC, TREE),
     "kind-reduce-e": lambda: reduce_e(TREE, 0),
@@ -289,6 +325,52 @@ def test_library_refusals_are_cichon_errors(case):
     expected = MalformedInput if case.startswith("state-") else CichonError
     with pytest.raises(expected):
         LIBRARY_REFUSALS[case]()
+
+
+# The whole message of the rows that a check after the one they meet, or no
+# check at all, would refuse in other words.
+PARTITION = "classes must partition the seven region nodes"
+REFUSAL_MESSAGES = {
+    "mode-name-eq": "mode must be one of ('bounding', 'evading'), got 'sideways'",
+    "evading-relation-empty-family": "evading mode needs relation in ('eq', 'in'), got 'leq'",
+    "hechler-stem-list": "hechler stem must be a FinFunc, got list",
+    "e-stem-list": "e stem must be a FinFunc, got list",
+    "loc-side-list": "loc side must be a Family, got list",
+    "kind-leq-first": "expected 'e' condition, got 'sacks'",
+    "diagram-state-from-obj-list": "diagram state must be a dict, got list",
+    "tree-entry-past-max-natural": "laver node entries must be below 10**4000 in magnitude",
+    **{
+        f"state-classes-{name}{decoded}": PARTITION
+        for name in ("duplicate-for-missing", "extra-duplicate")
+        for decoded in ("", "-decoded")
+    },
+    "container-block-partition-cells-none": (
+        "block partition cells must be a list or tuple, got NoneType"
+    ),
+    "container-block-partition-block-number": (
+        "block partition block must be a list or tuple, got int"
+    ),
+    "block-partition-cell-number": "block partition block must hold only frozensets",
+    "block-partition-position-string": (
+        "block partition positions must be natural numbers, got 'a'"
+    ),
+    "block-partition-position-past-max-values": (
+        "block partition positions must be below 1000000"
+    ),
+    "block-partition-class-width-list": (
+        "block partition width must be a WidthProfile, got list"
+    ),
+    "block-partition-huge-width": (
+        "block partition needs 1000000000000 positions, over 1000000"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSAL_MESSAGES))
+def test_library_refusal_messages(case):
+    with pytest.raises(CichonError) as caught:
+        LIBRARY_REFUSALS[case]()
+    assert str(caught.value) == REFUSAL_MESSAGES[case]
 
 
 # The rows that pass a value of the wrong class for a whole field or argument:
@@ -383,6 +465,10 @@ def test_family_report_bounding_example():
     report = family_report("leq", FinFunc((4, 3)), fam, "bounding")
     assert [r.threshold for r in report.thresholds] == [0, 0]
     assert report.max_threshold == 0
+    spread = Family((FinFunc((9, 1)), FinFunc((1, 1)), FinFunc((1, 9))), 2)
+    report = family_report("leq", FinFunc((5, 5)), spread, "bounding")
+    assert [r.threshold for r in report.thresholds] == [1, 0, 2]
+    assert report.max_threshold == 2
 
 
 def test_family_report_empty_family():
@@ -545,9 +631,11 @@ def test_dump_json_matches_json_dumps(obj):
 
 
 def test_package_exports_only_classes_and_functions():
-    """`from cichon import *` binds the public classes and functions: no
-    submodule, and none of the names the library has dropped."""
+    """`from cichon import *` binds the public classes and functions, those
+    of every submodule: no submodule, and none of the names the library has
+    dropped."""
     for name in cichon.__all__:
         value = getattr(cichon, name)
         assert isinstance(value, type) or inspect.isfunction(value), name
     assert {"compose_profiles", "parity_map"}.isdisjoint(cichon.__all__)
+    assert {"FinFunc", "leq", "block_partition", "reduce_e", "enumerate_cuts"} <= set(cichon.__all__)

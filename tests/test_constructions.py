@@ -34,7 +34,7 @@ from cichon import (
     sum_evader_bound,
     weave,
 )
-from cichon.combinatorics import MAX_NATURAL
+from cichon.combinatorics import MAX_NATURAL, MAX_VALUES
 from cichon.errors import (
     EmptyFamily,
     HorizonTooShort,
@@ -236,6 +236,8 @@ def test_domination_kills_successor_hits(rng):
 
 def test_block_partition_example():
     p = block_partition(WidthProfile((1, 2, 3)), 3)
+    listed = BlockPartition([list(block) for block in p.cells], p.width)
+    assert listed == p and hash(listed) == hash(p)
     assert p.cells[0] == (frozenset({0}),)
     assert p.cells[1] == (frozenset({1}), frozenset({2}))
     assert p.cells[2] == (frozenset({3}), frozenset({4}), frozenset({5}))
@@ -245,10 +247,14 @@ def test_block_partition_example():
 def test_block_partition_single():
     p = block_partition(WidthProfile((1,)), 1)
     assert p.cells == ((frozenset({0}),),)
+    assert block_partition(WidthProfile((1,)), 0).covered_horizon == 0
+    # a hand-built partition may reach, not pass, MAX_VALUES positions
+    last = BlockPartition(((frozenset({MAX_VALUES - 1}),),), WidthProfile((1,)))
+    assert last.covered_horizon == MAX_VALUES
 
 
 def test_block_partition_zero_width():
-    with pytest.raises(ZeroWidth):
+    with pytest.raises(ZeroWidth, match=r"^h\(1\) = 0; blocks need width >= 1$"):
         block_partition(WidthProfile((1, 0)), 2)
 
 

@@ -21,7 +21,7 @@ from cichon import (
     kb_names,
     propagate,
 )
-from cichon.diagram import EDGES, NODES, REGION_NODES
+from cichon.diagram import EDGES, NODE_RANK, NODES, REGION_NODES
 from cichon.errors import UnknownForcing
 
 EXPECTED_EDGES = {
@@ -263,9 +263,12 @@ def test_propagate_idempotent_on_profiles():
 
 
 def test_enumerate_cuts_count_and_oracle():
+    """Eleven cuts, the brute-force ones, by size and then node order."""
     cuts = enumerate_cuts()
     assert len(cuts) == 11
     assert {cut.nonempty for cut in cuts} == brute_force_cuts()
+    keys = [(len(cut.nonempty), sorted(map(NODE_RANK.get, cut.nonempty))) for cut in cuts]
+    assert keys == sorted(keys)
 
 
 def test_cut_realizers_bijective():
@@ -366,6 +369,46 @@ def test_dot_node_styles_read_back_as_emptiness():
         assert read == state.emptiness
 
 
+HECHLER_DOT = """digraph cichon {
+  rankdir=LR;
+  node [shape=box];
+  "Empty" [style=filled, fillcolor=gray85];
+  "BIn" [style=filled, fillcolor=gray85];
+  "BLeq";
+  "BNeq";
+  "DNeq";
+  "DLeq";
+  "DIn";
+  "AllNew";
+  subgraph cluster_0 {
+    rank=same;
+    "BIn";
+  }
+  subgraph cluster_1 {
+    rank=same;
+    "BLeq";
+    "BNeq";
+  }
+  subgraph cluster_2 {
+    rank=same;
+    "DNeq";
+    "DLeq";
+    "DIn";
+    "AllNew";
+  }
+  "Empty" -> "BIn";
+  "BIn" -> "BLeq";
+  "BLeq" -> "BNeq";
+  "BIn" -> "DNeq";
+  "BLeq" -> "DLeq";
+  "BNeq" -> "DIn";
+  "DNeq" -> "DLeq";
+  "DLeq" -> "DIn";
+  "DIn" -> "AllNew";
+}
+"""
+
+
 def test_dot_hechler_clusters():
     state = kb_lookup("hechler")
     dot = emit_dot(state)
@@ -374,12 +417,18 @@ def test_dot_hechler_clusters():
         cls for cls in state.classes if state.emptiness[cls[0]] == "nonempty"
     ]
     assert len(nonempty_clusters) == 2
+    assert dot == HECHLER_DOT
 
 
 def test_json_round_trip():
     for name in kb_names():
         state = kb_lookup(name)
         assert DiagramState.from_obj(json.loads(emit_json(state))) == state
+        # a state holds its classes and separators as tuples, however given
+        lists = [list(cls) for cls in state.classes], list(state.separators)
+        tuples = tuple(map(tuple, state.classes)), tuple(state.separators)
+        built = [DiagramState(state.emptiness, *fields, state.citation) for fields in (lists, tuples)]
+        assert built[0] == built[1] == state
 
 
 def test_emitted_json_is_sorted_and_stable():

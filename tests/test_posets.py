@@ -93,11 +93,13 @@ def test_validate_hechler_horizons():
 def test_validate_tree_prefix_closure():
     bad = FiniteTree("sacks", frozenset({(), (0, 1)}))
     assert any("prefix-closed" in v for v in validate(bad))
+    assert validate(ProductCond(bad, FiniteTree("laver", {()}))) == validate(bad)
 
 
 def test_validate_tree_uniform_leaves():
     bad = FiniteTree("sacks", frozenset({(), (0,), (1,), (0, 0)}))
     assert any("working depth" in v for v in validate(bad))
+    assert FiniteTree("sacks", ()).depth == 0  # no node, no leaf
 
 
 def test_validate_chain_tree():
@@ -119,6 +121,8 @@ def test_tree_entries_below_max_natural():
 def test_validate_tree_alphabet():
     bad = FiniteTree("sacks", frozenset({(), (2,)}))
     assert any("binary" in v for v in validate(bad))
+    # the natural-alphabet clause is the laver kind's alone
+    assert validate(FiniteTree("sacks", {(), (-1,)})) == ["binary alphabet violated at [-1]"]
 
 
 def test_validate_product_non_tree_part():

@@ -222,7 +222,7 @@ def test_lift_e_family_too_large():
         FinFunc((0, 1, 5)),
         Family((FinFunc((9, 9, 9, 9)), FinFunc((8, 8, 8, 8))), 4),
     )
-    with pytest.raises(FamilyTooLarge):
+    with pytest.raises(FamilyTooLarge, match=r"^\|side\| = 2 must be < new position 2$"):
         lift_loc_to_e(c, q)
 
 
