@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import random
 import sys
@@ -310,6 +311,9 @@ def run(argv, stdout=None, stderr=None) -> int:
         return int(exc.code or 0)
     finally:
         sys.stdout, sys.stderr = streams
+    # a command's values hold no reference cycles, so the collector only rescans them
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         payload = _VERBS[args.verb][0](args)
         if isinstance(payload, str):  # diagram's finished text
@@ -320,6 +324,9 @@ def run(argv, stdout=None, stderr=None) -> int:
     except (CichonError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=err)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def main() -> None:

@@ -74,8 +74,12 @@ def dump_json(obj, indent: str = "") -> str:
         return "null"
     inner = indent + "  "
     if isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) == {int}:
+        kinds = set(map(type, obj))
+        if kinds == {int}:
             items = map(str, obj)
+        elif kinds <= {list, tuple} and set(map(type, itertools.chain.from_iterable(obj))) <= {int}:
+            sep = f",\n{inner}  "  # rows of ints, each laid out by one join
+            items = [f"[\n{inner}  {sep.join(map(str, row))}\n{inner}]" if row else "[]" for row in obj]
         else:
             items = [dump_json(v, inner) for v in obj]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"

@@ -119,7 +119,8 @@ class BlockPartition:
 
     The fields are checked when the partition is built (MalformedInput):
     each block is a list or tuple of frozensets of positions (stored as a
-    tuple), and every position is a natural below MAX_VALUES.
+    tuple), every position is a natural below MAX_VALUES, and the cells
+    are nonempty, disjoint and cover [0, covered_horizon).
     """
 
     cells: tuple[tuple[frozenset[int], ...], ...]
@@ -132,15 +133,21 @@ class BlockPartition:
             for b in _as_tuple(self.cells, "block partition cells")
         )
         object.__setattr__(self, "cells", blocks)
-        positions = [x for block in self.cells for cell in block for x in cell]
+        cells = [cell for block in self.cells for cell in block]
+        positions = [x for cell in cells for x in cell]
         _check_naturals(positions, "block partition positions")
-        if max(positions, default=-1) >= MAX_VALUES:
+        top = max(positions, default=-1)
+        if top >= MAX_VALUES:
             raise MalformedInput(f"block partition positions must be below {MAX_VALUES}")
+        if not all(cells) or not len(set(positions)) == len(positions) == top + 1:
+            raise MalformedInput(
+                f"block partition cells must be nonempty, disjoint and cover [0, {top + 1})"
+            )
 
     @property
     def covered_horizon(self) -> int:
-        """One past the greatest position of any cell, 0 if there is none."""
-        return 1 + max((x for block in self.cells for cell in block for x in cell), default=-1)
+        """The number of positions, which the cells cover [0, covered_horizon) with."""
+        return sum(len(cell) for block in self.cells for cell in block)
 
     @property
     def block_count(self) -> int:

@@ -1,6 +1,7 @@
 """CLI contract: verbs, JSON/DOT payloads, determinism, and exit codes."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import cichon
 from cichon import Family, ProductCond, errors
-from cichon.cli import _build_parser, _load_json, _parse, run
+from cichon.cli import CONSTRUCT_KINDS, _VERBS, _build_parser, _load_json, _parse, run
 from cichon.combinatorics import MAX_NATURAL
 from cichon.posets import POSET_KINDS, condition_to_obj
 from conftest import make_laver, make_sacks, prune_tree
@@ -611,6 +612,103 @@ def test_splitting_budget_key_is_ignored(tmp_path):
         results.append(invoke(["poset", "--kind", "laver", "--op", "leq", "--a", path, "--b", path]))
     assert results[0] == results[1] == results[2]
     assert results[0][0] == 0
+
+
+# ---------------------------------------------------------------------------
+# `run` pauses the cyclic collector while a command runs and emits
+
+
+GC_FILES = {
+    "f.json": [1, 2, 3],
+    "sigma.json": {"width": [1, 2, 3], "cells": [[1], [2, 5], [0, 3, 4]]},
+    "fam.json": {"horizon": 3, "functions": [[1, 2, 3], [3, 0, 1]]},
+    "sacks.json": {"kind": "sacks", "nodes": [[], [0], [0, 0], [0, 1]]},
+    "loc.json": {
+        "kind": "loc", "prefix": [[], [2]], "side": {"horizon": 4, "functions": [[1, 1, 1, 1]]}
+    },
+    "hechler.json": {"kind": "hechler", "stem": [0, 2, 9, 9], "side": [2, 2, 9, 9]},
+    "short.json": {"kind": "hechler", "stem": [0, 2, 9, 1], "side": [2, 2, 9, 9]},
+}
+CHECK_F = ["check", "--f", "{d}/f.json", "--relation"]
+SACKS = "{d}/sacks.json"
+LIFT = ["project", "--map", "loc-d", "--cond", "{d}/loc.json", "--lift"]
+# one small call of each verb, relation, construction, poset op and lift outcome
+GC_CALLS = {
+    "check-leq": CHECK_F + ["leq", "--g", "{d}/f.json"],
+    "check-neq": CHECK_F + ["neq", "--g", "{d}/f.json"],
+    "check-in": CHECK_F + ["in", "--g", "{d}/sigma.json"],
+    **{
+        f"construct-{kind}": ["construct", "--kind", kind, "--family", "{d}/fam.json"]
+        for kind in ("dominator", "ioe", "evdiff", "slalom")
+    },
+    "construct-evader": ["construct", "--kind", "evader", "--family", "{d}/sigma.json"],
+    "construct-random-family": [
+        "construct", "--kind", "random-family", "--horizon", "3", "--seed", "1"
+    ],
+    **{
+        f"poset-{op}": ["poset", "--kind", "sacks", "--op", op, "--a", SACKS, "--b", SACKS] + n
+        for op, n in (("leq", []), ("fusion", ["--n", "0"]))
+    },
+    "project-lift": LIFT + ["{d}/hechler.json"],
+    "project-lift-refused": LIFT + ["{d}/short.json"],
+    "diagram": ["diagram", "--forcing", "hechler"],
+    "cuts": ["cuts"],
+    "kb": ["kb", "--list"],
+}
+
+
+def _gc_argv(tmp_path, argv):
+    for name, payload in GC_FILES.items():
+        write(tmp_path, name, payload)
+    return [token.format(d=tmp_path) for token in argv]
+
+
+def test_gc_calls_cover_every_verb_and_kind():
+    verbs = {argv[0] for argv in GC_CALLS.values()}
+    kinds = {argv[2] for argv in GC_CALLS.values() if argv[0] == "construct"}
+    assert verbs == set(_VERBS) and kinds == set(CONSTRUCT_KINDS)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["cuts"], 0),
+        (CHECK_F + ["neq", "--g", "{d}/f.json"], 1),
+        (LIFT + ["{d}/short.json"], 2),  # a CichonError
+        (CHECK_F + ["leq", "--g", "{d}/missing.json"], 2),  # an OSError
+        (["check"], 2),  # argparse's usage error
+        (["--help"], 0),
+    ],
+    ids=["exit-0", "exit-1", "cichon-error", "os-error", "usage-error", "help"],
+)
+def test_run_restores_the_collector_state(tmp_path, enabled, argv, code):
+    argv = _gc_argv(tmp_path, argv)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert invoke(argv)[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_run_pauses_the_collector_while_a_command_emits(monkeypatch):
+    seen = []
+    monkeypatch.setattr("cichon.cli._dump", lambda obj: seen.append(gc.isenabled()) or "[]")
+    assert invoke(["cuts"]) == (0, "[]\n", "")
+    assert seen == [False] and gc.isenabled()
+
+
+@pytest.mark.parametrize("case", sorted(GC_CALLS))
+def test_a_call_leaves_no_cyclic_garbage(tmp_path, case):
+    """The pause defers nothing: reference counting alone frees every value
+    a command makes, so a collection right after `run` finds nothing."""
+    argv = _gc_argv(tmp_path, GC_CALLS[case])
+    gc.collect()
+    code, _, err = invoke(argv)
+    assert gc.collect() == 0
+    assert (code == 2) == (case == "project-lift-refused"), err
 
 
 # ---------------------------------------------------------------------------

@@ -247,10 +247,10 @@ LIBRARY_REFUSALS = {
     "container-block-slalom-entry-number": lambda: weave(BlockSlalom((5,), W1), P1),
     "block-slalom-member-number": lambda: weave(BlockSlalom(((5,),), W1), P1),
     "container-slalom-cell-number": lambda: Slalom([5], W1),
-    # a hand-built partition whose one cell lies past position 0
-    "far-partition-encode": lambda: block_encode(F1, BlockPartition(((frozenset({5}),),), W1)),
+    # a hand-built partition whose one cell reaches past the input's horizon
+    "far-partition-encode": lambda: block_encode(F1, BlockPartition(((frozenset(range(6)),),), W1)),
     "far-partition-avoider": lambda: avoider_witness(
-        Slalom.identity_width([()]), BlockPartition(((frozenset({5}),),), W1)
+        Slalom.identity_width([()]), BlockPartition(((frozenset(range(6)),),), W1)
     ),
     # hand-built partitions with junk fields, and one past MAX_VALUES positions
     "container-block-partition-cells-none": lambda: block_encode(F1, BlockPartition(None, W1)),
@@ -351,6 +351,8 @@ REFUSAL_MESSAGES = {
         "block partition block must be a list or tuple, got int"
     ),
     "block-partition-cell-number": "block partition block must hold only frozensets",
+    "far-partition-encode": "horizon 1 < covered horizon 6",
+    "far-partition-avoider": "slalom horizon 1 < covered horizon 6",
     "block-partition-position-string": (
         "block partition positions must be natural numbers, got 'a'"
     ),
@@ -625,8 +627,27 @@ class Text(str):
 
 @example({"a": True, "b": None, "c": [False, 0, "\u2028é\n"], "d": 1.0})
 @example([Natural(3), Text("x"), True, 10**4299])
+# rows of exact ints are laid out in one join; anything else is recursed into
+@example([[1, 2], [], [3]])
+@example([(1,), []])
+@example([[]])
+@example([[True]])
+@example([[Natural(3)]])
+@example([[1], "x"])
+@example([[[1]]])
+@example([[0, -(10**4299)], [10**4299]])
 @given(JSON_LIKE)
 def test_dump_json_matches_json_dumps(obj):
+    assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+ROW = st.lists(st.integers())
+
+
+@given(st.lists(ROW | ROW.map(tuple), min_size=1))
+def test_dump_json_lays_out_rows_of_ints_as_json_does(rows):
+    """JSON_LIKE seldom draws a list of int rows, the shape of slalom cells."""
+    obj = {"rows": rows, "nested": [rows]}
     assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 

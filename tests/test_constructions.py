@@ -249,8 +249,29 @@ def test_block_partition_single():
     assert p.cells == ((frozenset({0}),),)
     assert block_partition(WidthProfile((1,)), 0).covered_horizon == 0
     # a hand-built partition may reach, not pass, MAX_VALUES positions
-    last = BlockPartition(((frozenset({MAX_VALUES - 1}),),), WidthProfile((1,)))
+    last = BlockPartition(((frozenset(range(MAX_VALUES)),),), WidthProfile((1,)))
     assert last.covered_horizon == MAX_VALUES
+
+
+@pytest.mark.parametrize(
+    "cells, width, horizon",
+    [
+        # weave would keep only the last member's value at position 0
+        (((frozenset({0}), frozenset({0})),), (2,), 1),
+        # as many positions as the horizon, one repeated and one missing
+        (((frozenset({0}), frozenset({0, 2})),), (2,), 3),
+        (((frozenset({0}), frozenset()),), (2,), 1),
+        # weave would read position 0 as 0
+        (((frozenset({1}),),), (1,), 2),
+        (((frozenset({0}),), (frozenset({3}),)), (1, 1), 4),
+    ],
+    ids=["overlapping", "overlapping-and-uncovered", "empty-cell", "uncovered-0", "uncovered-gap"],
+)
+def test_block_partition_refuses_cells_that_do_not_partition(cells, width, horizon):
+    message = f"block partition cells must be nonempty, disjoint and cover [0, {horizon})"
+    with pytest.raises(MalformedInput) as refusal:
+        BlockPartition(cells, WidthProfile(width))
+    assert str(refusal.value) == message
 
 
 def test_block_partition_zero_width():
@@ -303,11 +324,6 @@ def test_weave_pads_with_zero():
     p = block_partition(width, 1)
     sigma = BlockSlalom(((),), width)
     assert weave(sigma, p).values == (0, 0)
-    # a position no cell holds is 0 too, up to the cells' covered horizon
-    width = WidthProfile((1,))
-    far = BlockPartition(((frozenset({5}),),), width)
-    assert far.covered_horizon == 6
-    assert weave(BlockSlalom((({5: 7},),), width), far).values == (0, 0, 0, 0, 0, 7)
 
 
 def test_weave_matches_definition(rng):
