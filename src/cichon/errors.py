@@ -53,10 +53,6 @@ class NotBelowProjection(CichonError):
     """The target condition does not strengthen the projected condition."""
 
 
-class GrowthTooSmall(CichonError):
-    """A new stem value at position n is below n - 1."""
-
-
 class FamilyTooLarge(CichonError):
     """The side family is too large for the prefix positions involved."""
 

@@ -5,23 +5,18 @@ Both maps send the top condition to the top condition and admit explicit
 lift algorithms: given a strengthening of the projected condition
 (subject to the preconditions spelled out on each lift), a localization
 condition is produced whose projection recovers the given strengthening
-on its whole domain.  All free choices are resolved by deterministic
-least-value padding rules, so equal inputs give equal outputs.
+on its whole domain.  Each new cell holds only the values the order and
+the projection need, chosen by least-value rules, so equal inputs give
+equal outputs.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 
-from .combinatorics import MAX_VALUES, Family, FinFunc, Slalom, _check_naturals
+from .combinatorics import Family, FinFunc, Slalom, _check_naturals
 from .constructions import _columns, _outside
-from .errors import (
-    FamilyTooLarge,
-    GrowthTooSmall,
-    MalformedInput,
-    NotBelowProjection,
-    RankTooLarge,
-)
+from .errors import FamilyTooLarge, NotBelowProjection, RankTooLarge
 from .posets import ECond, HechlerCond, LocCond, leq, require_valid
 
 
@@ -30,17 +25,6 @@ def _rank_outside(excluded: set[int], m: int) -> int | None:
     if m in excluded:
         return None
     return m - sum(1 for x in excluded if x < m)
-
-
-def _require_liftable(c: LocCond, q, kind: str) -> None:
-    """c a valid loc condition and q a valid one of the given kind, and the
-    lift's new cells, n members at each new position n, at most MAX_VALUES
-    in all.  The order against the projection checks the working horizons."""
-    require_valid(c, "loc")
-    require_valid(q, kind)
-    members = sum(range(c.prefix.horizon, q.stem.horizon))
-    if members > MAX_VALUES:
-        raise MalformedInput(f"lift needs {members} new cell members, over {MAX_VALUES}")
 
 
 # ---------------------------------------------------------------------------
@@ -64,18 +48,16 @@ def proj_loc_to_d(c: LocCond) -> HechlerCond:
 def lift_loc_to_d(c: LocCond, q: HechlerCond) -> LocCond:
     """Lift a Hechler strengthening of the projection back to localization.
 
-    Preconditions: |F| < |s|; q strengthens proj_loc_to_d(c); and every new
-    stem value obeys q.stem(n) >= n - 1, so that n distinct values fit at
-    or below it.
+    Preconditions: |F| < |s|, and q strengthens proj_loc_to_d(c).
 
-    The result is (t, F + {q.side}) where, at each new position, t(n) holds
-    the family values and q.stem(n), padded with the least unused values
-    below q.stem(n) up to exactly n members.  Since q strengthens the
-    projection, q.stem(n) bounds every family value at a new position and
-    q.side bounds every member, so the result strengthens c and projects
-    back to q exactly.
+    The result is (t, F + {q.side}) where, at each new position n, t(n)
+    holds the family values and q.stem(n): at most |F| + 1 <= n members.
+    Since q strengthens the projection, q.stem(n) bounds every family value
+    at a new position and q.side bounds every member, so the result
+    strengthens c and projects back to q exactly.
     """
-    _require_liftable(c, q, "hechler")
+    require_valid(c, "loc")
+    require_valid(q, "hechler")
     s, fam = c.prefix, c.side
     if len(fam) >= s.horizon:
         raise FamilyTooLarge(f"|F| = {len(fam)} must be < |s| = {s.horizon}")
@@ -83,10 +65,7 @@ def lift_loc_to_d(c: LocCond, q: HechlerCond) -> LocCond:
         raise NotBelowProjection("target does not strengthen the projection")
     cells = list(s.cells)
     for n, column in enumerate(islice(_columns(fam), s.horizon, q.stem.horizon), s.horizon):
-        if q.stem[n] < n - 1:
-            raise GrowthTooSmall(f"stem({n}) = {q.stem[n]} < {n} - 1")
-        cell = frozenset((*column, q.stem[n]))
-        cells.append(cell.union(islice(_outside(cell), n - len(cell))))
+        cells.append(frozenset((*column, q.stem[n])))
     side = Family(fam.functions + (q.side,), fam.horizon)
     return LocCond(Slalom.identity_width(cells), side)
 
@@ -118,14 +97,15 @@ def lift_loc_to_e(c: LocCond, q: ECond) -> LocCond:
     avoiding the side values is below n (the mod-n residue cannot encode a
     larger rank).
 
-    At a new position n the cell collects the side values and is padded
-    up to n members with values strictly above max(stem value, side
-    values): first the least value in the residue class fixing the sum
-    congruence, then least multiples of n (which leave the sum class
-    untouched).  Keeping all padding above the stem value preserves its
-    avoidance rank, so re-projection returns q's stem on its domain.
+    At a new position n the cell holds the side values and one more: the
+    least value above max(stem value, side values) that brings the cell
+    sum to the stem value's avoidance rank mod n.  That makes at most
+    |side| + 1 <= n members, and a value above the stem value leaves its
+    avoidance rank unchanged, so re-projection returns q's stem on its
+    domain.
     """
-    _require_liftable(c, q, "e")
+    require_valid(c, "loc")
+    require_valid(q, "e")
     s = c.prefix
     if not leq("e", q, proj_loc_to_e(c)):
         raise NotBelowProjection("target does not strengthen the projection")
@@ -145,10 +125,7 @@ def lift_loc_to_e(c: LocCond, q: ECond) -> LocCond:
         bound = max(side_values | {m})
         residue = (rank - sum(side_values)) % n
         first = bound + 1 + (residue - bound - 1) % n  # least v > bound, v % n == residue
-        least = (bound // n + 1) * n  # the least multiple of n above bound
-        start = least + n if least == first else least  # skip first: both lie in (bound, bound + n]
-        pads = range(start, start + (n - 1 - len(side_values)) * n, n)
-        cells.append(frozenset((*side_values, first, *pads)))
+        cells.append(frozenset((*side_values, first)))
     return LocCond(Slalom.identity_width(cells), q.side)
 
 

@@ -112,12 +112,12 @@ def make_liftable_d(rng, max_value=16):
     ]
     fam = make_family(rng, horizon, rng.randint(0, plen - 1), max_value)
     c = LocCond(Slalom.identity_width(cells), fam)
-    sums = [sum(f[n] for f in fam) for n in range(horizon)]
-    projected = proj_loc_to_d(c)
-    stem = list(projected.stem.values)
+    # the family max at n: the least value q may take there, stem or side
+    least = [max((f[n] for f in fam), default=0) for n in range(horizon)]
+    stem = list(proj_loc_to_d(c).stem.values)
     for n in range(plen, plen + rng.randint(0, horizon - plen)):
-        stem.append(n + sums[n] + 1 + rng.randrange(max_value))
-    side = tuple(sums[n] + 1 + rng.randrange(max_value) for n in range(horizon))
+        stem.append(least[n] + rng.randrange(max_value))
+    side = tuple(least[n] + rng.randrange(max_value) for n in range(horizon))
     return c, HechlerCond(FinFunc(tuple(stem)), FinFunc(side))
 
 

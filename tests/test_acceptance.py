@@ -6,6 +6,7 @@ Run `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 import random
 import time
+from collections import Counter
 
 from cichon import (
     BlockSlalom,
@@ -44,6 +45,7 @@ from cichon import (
     weave,
 )
 from cichon.diagram import EDGES, NODES, is_upward_closed
+from cichon.errors import CichonError
 from conftest import (
     extend_loc,
     make_cohen,
@@ -63,6 +65,8 @@ from conftest import (
     strengthen_hechler,
 )
 from test_diagram import EXPECTED_PROFILES, brute_force_cuts
+from test_posets import ref_leq
+from universe import e_conditions, hechler_conditions, loc_conditions
 
 
 def report(name, ok, detail=""):
@@ -308,6 +312,71 @@ def test_criterion_projection_rank_regression():
     except RankTooLarge:
         ok = True
     report("projection laws: rank-3-at-position-1 regression expects RankTooLarge", ok)
+
+
+# Lift outcomes over the H = 3, V = 2 universe: the pairs (p, q) with
+# q <= proj(p), p with at most one side member and q's e side with at most
+# one; a refusal names only a precondition of the lift itself.
+UNIVERSE_OUTCOMES = {
+    "loc-d": {None: 764, "FamilyTooLarge": 267},
+    "loc-e": {None: 228, "FamilyTooLarge": 198, "RankTooLarge": 27},
+}
+
+
+def test_criterion_projection_universe():
+    """Both projections over every loc condition of the H = 3, V = 2
+    universe with at most two side members: order preserved on every pair
+    p' <= p; for every p with at most one side member and every q <= proj(p),
+    the lift is valid, below p and re-projects to q on q's domain, or it is
+    refused, and the refusals that some p' of the universe with
+    proj(p') <= q shows to be avoidable are counted per class."""
+    started = time.monotonic()
+    universe = loc_conditions(3, 2, 2)
+    below = [[j for j, x in enumerate(universe) if ref_leq("loc", x, p)] for p in universe]
+    maps = {
+        "loc-d": ("hechler", proj_loc_to_d, lift_loc_to_d, hechler_conditions(3, 2)),
+        "loc-e": ("e", proj_loc_to_e, lift_loc_to_e, e_conditions(3, 2, 1)),
+    }
+    failures, counts = Counter(), {}
+    for name, (kind, project, lift, targets) in maps.items():
+        projected = [project(x) for x in universe]
+        outcomes, avoidable = Counter(), Counter()
+        for p, pi, strengthenings in zip(universe, projected, below):
+            failures["order"] += sum(not leq(kind, projected[j], pi) for j in strengthenings)
+            if len(p.side) > 1:
+                continue
+            for q in targets:
+                if not ref_leq(kind, q, pi):
+                    continue
+                try:
+                    lifted = lift(p, q)
+                except CichonError as refused:
+                    outcomes[type(refused).__name__] += 1
+                    if any(ref_leq(kind, projected[j], q) for j in strengthenings):
+                        avoidable[type(refused).__name__] += 1
+                    continue
+                outcomes[None] += 1
+                back = project(lifted)
+                failures["lift"] += bool(
+                    validate(lifted)
+                    or not ref_leq("loc", lifted, p)
+                    or back.stem.values[: q.stem.horizon] != q.stem.values
+                    or back.side != q.side
+                )
+        failures["outcomes"] += outcomes != UNIVERSE_OUTCOMES[name]
+        refusals = sorted(cls for cls in outcomes if cls)
+        counts[name] = ", ".join(
+            [f"{cls} {avoidable[cls]} of {outcomes[cls]} have a p'" for cls in refusals]
+            + [f"{outcomes[None]} lifted"]
+        )
+    elapsed = time.monotonic() - started
+    report(
+        "projection laws: H = 3, V = 2 universe (order, lifts, refusals, < 2 s)",
+        not any(failures.values()) and elapsed < 2.0,
+        f"{len(universe)} loc conditions; {dict(failures)}; "
+        + "; ".join(f"{name}: {text}" for name, text in counts.items())
+        + f"; {elapsed:.2f} s",
+    )
 
 
 # ---------------------------------------------------------------------------

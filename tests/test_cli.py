@@ -311,6 +311,8 @@ def test_project_loc_d(tmp_path):
 
 
 def test_project_lift_growth_violation(tmp_path):
+    """A new stem value below n - 1 lifts: the new cell at 3 is {1}, the
+    family value and the stem value."""
     cond = write(
         tmp_path,
         "c.json",
@@ -325,11 +327,13 @@ def test_project_lift_growth_violation(tmp_path):
         "q.json",
         {"kind": "hechler", "stem": [0, 2, 9, 1], "side": [2, 2, 9, 9]},
     )
-    code, _, err = invoke(
+    code, out, err = invoke(
         ["project", "--map", "loc-d", "--cond", cond, "--lift", target]
     )
-    assert code == 2
-    assert "GrowthTooSmall" in err
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["lift"]["prefix"] == [[], [2], [1, 9], [1]]
+    assert payload["reprojection"]["stem"] == [0, 2, 9, 1]
 
 
 def test_project_lift_loc_d_round_trip(tmp_path):
@@ -353,7 +357,7 @@ def test_project_lift_loc_d_round_trip(tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["reprojection"]["stem"] == [0, 2, 9, 9]
-    assert payload["lift"]["prefix"] == [[], [2], [1, 9], [0, 1, 9]]
+    assert payload["lift"]["prefix"] == [[], [2], [1, 9], [1, 9]]
 
 
 def test_project_lift_loc_e_with_reduce(tmp_path):
@@ -627,7 +631,7 @@ GC_FILES = {
         "kind": "loc", "prefix": [[], [2]], "side": {"horizon": 4, "functions": [[1, 1, 1, 1]]}
     },
     "hechler.json": {"kind": "hechler", "stem": [0, 2, 9, 9], "side": [2, 2, 9, 9]},
-    "short.json": {"kind": "hechler", "stem": [0, 2, 9, 1], "side": [2, 2, 9, 9]},
+    "not-below.json": {"kind": "hechler", "stem": [1, 2, 9, 9], "side": [2, 2, 9, 9]},
 }
 CHECK_F = ["check", "--f", "{d}/f.json", "--relation"]
 SACKS = "{d}/sacks.json"
@@ -650,7 +654,7 @@ GC_CALLS = {
         for op, n in (("leq", []), ("fusion", ["--n", "0"]))
     },
     "project-lift": LIFT + ["{d}/hechler.json"],
-    "project-lift-refused": LIFT + ["{d}/short.json"],
+    "project-lift-refused": LIFT + ["{d}/not-below.json"],
     "diagram": ["diagram", "--forcing", "hechler"],
     "cuts": ["cuts"],
     "kb": ["kb", "--list"],
@@ -675,7 +679,7 @@ def test_gc_calls_cover_every_verb_and_kind():
     [
         (["cuts"], 0),
         (CHECK_F + ["neq", "--g", "{d}/f.json"], 1),
-        (LIFT + ["{d}/short.json"], 2),  # a CichonError
+        (LIFT + ["{d}/not-below.json"], 2),  # a CichonError
         (CHECK_F + ["leq", "--g", "{d}/missing.json"], 2),  # an OSError
         (["check"], 2),  # argparse's usage error
         (["--help"], 0),
@@ -838,9 +842,10 @@ def test_resource_bounds(tmp_path):
 
 
 def test_lift_size_bound(tmp_path):
-    """A lift whose new cells would hold more than MAX_VALUES members is
-    refused before any cell is built."""
-    n = 1415  # sum(range(1, n)) = 1,000,405 new members
+    """A lift adds at most |F| + 1 members per new position, all read from
+    its input, so it needs no bound of its own: targets of 1,415 positions
+    lift with one new member per position."""
+    n = 1415
     cond = write(
         tmp_path, "c.json",
         {"kind": "loc", "prefix": [[]], "side": {"horizon": n, "functions": []}},
@@ -852,21 +857,15 @@ def test_lift_size_bound(tmp_path):
     for name, target in targets.items():
         q = write(tmp_path, "q.json", target)
         code, out, err = invoke(["project", "--map", name, "--cond", cond, "--lift", q])
-        assert (code, out) == (2, "")
-        assert err.startswith("MalformedInput: lift needs 1000405 new cell members")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert [len(cell) for cell in payload["lift"]["prefix"]] == [0] + [1] * (n - 1)
+        assert payload["reprojection"]["stem"] == target["stem"]
 
 
-def test_value_bounds_admit_exactly_max_values(tmp_path):
-    """A lift of exactly MAX_VALUES new members, and a random family of
-    exactly MAX_VALUES draws, pass the size bound and meet the next check."""
-    cond = write(
-        tmp_path, "c.json",
-        {"kind": "loc", "prefix": [[]] * 1243, "side": {"horizon": 1883, "functions": []}},
-    )  # sum(range(1243, 1883)) = 10**6 new members
-    q = write(tmp_path, "q.json", {"kind": "hechler", "stem": [1] + [0] * 1882, "side": [0] * 1883})
-    code, out, err = invoke(["project", "--map", "loc-d", "--cond", cond, "--lift", q])
-    assert (code, out) == (2, "")
-    assert err.startswith("NotBelowProjection: ")
+def test_value_bounds_admit_exactly_max_values():
+    """A random family of exactly MAX_VALUES draws passes the size bound
+    and meets the next check."""
     draw = ["construct", "--kind", "random-family", "--seed", "1"]
     # a member costs one value even on horizon 0
     for count, horizon in (("1000", "1000"), ("1000000", "1"), ("1000000", "0")):
