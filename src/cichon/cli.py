@@ -149,11 +149,7 @@ def _truncate(obj, horizon):
     """The first `horizon` positions of a family or a slalom."""
     if horizon > obj.horizon:
         raise MalformedInput(f"--horizon {horizon} exceeds the input's {obj.horizon}")
-    if isinstance(obj, comb.Slalom):
-        return comb.Slalom(
-            obj.cells[:horizon], comb.WidthProfile(obj.width.widths[:horizon])
-        )
-    return comb.Family(tuple(comb.FinFunc(f.values[:horizon]) for f in obj), horizon)
+    return obj.prefix(horizon)
 
 
 def _cmd_construct(args):

@@ -22,7 +22,8 @@ HIT_RELATIONS = ("eq", "in")
 MODES = ("bounding", "evading")
 
 # The most values one input may ask for: a decoded family's horizon (which
-# constructions loop over, even with no members) and random-family's draws.
+# constructions loop over, even with no members), a decoded slalom's cell
+# count, an identity width's horizon and random-family's draws.
 MAX_VALUES = 10**6
 
 # Every natural an object holds, read or computed, stays below this, so it
@@ -37,11 +38,13 @@ def _check_naturals(values, what):
     is not an int in [0, MAX_NATURAL); bools are not naturals.
 
     An all-int sequence of four or more entries passes in three C-level
-    scans; the loop, as fast on four entries and faster on fewer, decides
-    the rest and names the first offender.
+    scans: types, `min` and `sum`, since naturals that sum to less than
+    MAX_NATURAL are each below it; `max` decides only a sum that reaches it.
+    The loop, as fast on four entries and faster on fewer, decides the rest
+    and names the first offender.
     """
     long_ints = len(values) > 3 and set(map(type, values)) <= {int}
-    if long_ints and min(values) >= 0 and max(values) < MAX_NATURAL:
+    if long_ints and min(values) >= 0 and (sum(values) < MAX_NATURAL or max(values) < MAX_NATURAL):
         return
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool) or -MAX_NATURAL < v < 0:
@@ -52,6 +55,15 @@ def _check_naturals(values, what):
         if v < 0:  # too long to print
             bits = v.bit_length()
             raise MalformedInput(f"{what} must be natural numbers, got a negative {bits}-bit value")
+
+
+def _unchecked(cls, **fields):
+    """The frozen dataclass `cls` holding `fields` as given, without running
+    its `__post_init__`: only for fields sliced or collected from values that
+    already passed their checks."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 def dump_json(obj, indent: str = "") -> str:
@@ -163,8 +175,12 @@ class WidthProfile:
 
     @classmethod
     def identity(cls, horizon: int) -> "WidthProfile":
-        """The profile h(n) = n, under which cell 0 is forced empty."""
-        return cls(tuple(range(horizon)))
+        """The profile h(n) = n, under which cell 0 is forced empty; the
+        horizon is a natural number of at most MAX_VALUES positions."""
+        _check_naturals((horizon,), "identity width horizon")
+        if horizon > MAX_VALUES:
+            raise MalformedInput(f"identity width horizon {horizon} exceeds {MAX_VALUES}")
+        return _unchecked(cls, widths=tuple(range(horizon)))
 
 
 @dataclass(frozen=True)
@@ -205,6 +221,11 @@ class Slalom:
     def __getitem__(self, n: int) -> frozenset[int]:
         return self.cells[n]
 
+    def prefix(self, horizon: int) -> "Slalom":
+        """The first `horizon` cells and widths, sliced without a re-check."""
+        width = _unchecked(WidthProfile, widths=self.width.widths[:horizon])
+        return _unchecked(Slalom, cells=self.cells[:horizon], width=width)
+
     @classmethod
     def identity_width(cls, cells) -> "Slalom":
         cells = _as_tuple(cells, "slalom cells")
@@ -220,6 +241,8 @@ class Slalom:
     def from_obj(cls, obj) -> "Slalom":
         _check_shape(obj, dict, "slalom", ("cells",))
         cells = tuple(_check_shape(obj["cells"], list, "slalom cells", items=list))
+        if len(cells) > MAX_VALUES:  # with or without a width list
+            raise MalformedInput(f"slalom cell count {len(cells)} exceeds {MAX_VALUES}")
         if "width" in obj:
             width = WidthProfile(tuple(_check_shape(obj["width"], list, "slalom width")))
         else:
@@ -260,6 +283,12 @@ class Family:
 
     def __iter__(self):
         return iter(self.functions)
+
+    def prefix(self, horizon: int) -> "Family":
+        """Each member's first `horizon` values, sliced without a re-check;
+        `horizon` is at most the family's."""
+        functions = tuple(_unchecked(FinFunc, values=f.values[:horizon]) for f in self)
+        return _unchecked(Family, functions=functions, horizon=horizon)
 
     def to_obj(self):
         return {

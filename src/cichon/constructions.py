@@ -22,7 +22,7 @@ from .combinatorics import (
     _as_tuple,
     _check_naturals,
     _check_shape,
-    least_threshold,
+    _unchecked,
 )
 from .errors import (
     EmptyFamily,
@@ -101,9 +101,13 @@ def family_slalom(family: Family) -> tuple[Slalom, tuple[int, ...]]:
     with each member's actual least capture threshold.
     """
     cells = tuple(frozenset(column[:n]) for n, column in enumerate(_columns(family)))
-    sigma = Slalom(cells, WidthProfile.identity(family.horizon))
+    # each cell is a subset of a column of checked members
+    sigma = _unchecked(Slalom, cells=cells, width=WidthProfile.identity(family.horizon))
+    # member i is in every cell past i, so its threshold is one past the last
+    # of its first i + 1 positions that its cell misses
     thresholds = tuple(
-        least_threshold("in", f, sigma).threshold for f in family
+        next((n + 1 for n in reversed(range(min(i + 1, len(cells)))) if f.values[n] not in cells[n]), 0)
+        for i, f in enumerate(family)
     )
     return sigma, thresholds
 

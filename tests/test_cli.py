@@ -200,6 +200,32 @@ def test_construct_horizon_truncates(tmp_path):
     assert invoke(whole + ["--horizon", "4"]) == invoke(whole)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_construct_horizon_matches_a_cut_file(tmp_path, seed):
+    """`--horizon h` builds its input from slices of the decoded file; each
+    construction prints what it prints on a file cut to h positions, for
+    h in {0, 1, N - 1, N}.  Families come from random-family, and the
+    evader's slalom has explicit widths, some above their cells' sizes."""
+    rng = random.Random(seed)
+    n, count = rng.randrange(2, 9), rng.randrange(1, 6)
+    draw = ["construct", "--kind", "random-family", "--seed", str(seed),
+            "--horizon", str(n), "--count", str(count)]
+    family = json.loads(invoke(draw)[1])
+    cells = [sorted(rng.sample(range(10), rng.randrange(min(l, 3) + 1))) for l in range(n)]
+    widths = [len(cell) + rng.randrange(3) for cell in cells]
+    for h in sorted({0, 1, n - 1, n}):
+        files = {
+            "family": (family, {"horizon": h, "functions": [f[:h] for f in family["functions"]]}),
+            "slalom": ({"width": widths, "cells": cells}, {"width": widths[:h], "cells": cells[:h]}),
+        }
+        for kind in ("dominator", "ioe", "evdiff", "slalom", "evader"):
+            whole, cut = files["slalom" if kind == "evader" else "family"]
+            argv = ["construct", "--kind", kind, "--family"]
+            sliced = invoke(argv + [write(tmp_path, "whole.json", whole), "--horizon", str(h)])
+            assert sliced[0] == 0, (kind, h, sliced)
+            assert sliced == invoke(argv + [write(tmp_path, "cut.json", cut)]), (kind, h)
+
+
 def test_construct_ioe_empty_family(tmp_path):
     fam = write(tmp_path, "fam.json", {"horizon": 3, "functions": []})
     code, _, err = invoke(["construct", "--kind", "ioe", "--family", fam])

@@ -7,6 +7,7 @@ import inspect
 import itertools
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -66,7 +67,7 @@ from cichon import (
 from cichon.combinatorics import MAX_NATURAL, MAX_VALUES, _check_naturals, dump_json
 from cichon.diagram import REGION_NODES
 from cichon.errors import CichonError, HorizonMismatch, KindMismatch, MalformedInput
-from cichon.posets import condition_to_obj
+from cichon.posets import condition_from_obj, condition_to_obj
 
 def _equal_length_pair(n):
     row = st.lists(st.integers(0, 50), min_size=n, max_size=n)
@@ -309,6 +310,23 @@ LIBRARY_REFUSALS = {
     "family-huge-horizon": lambda: Family((), 10**7),
     "negative-long-value": lambda: FinFunc((-(10**5000),)),
     "negative-long-width": lambda: WidthProfile((-(10**5000),)),
+    # an identity width's horizon is a natural number of at most MAX_VALUES
+    **{
+        f"width-identity-{name}": functools.partial(WidthProfile.identity, horizon)
+        for name, horizon in (
+            ("string", "3"), ("float", 1.5), ("none", None), ("array", [1]), ("empty-tuple", ()),
+            ("negative", -1), ("bool", True), ("huge", 2**70), ("past-max-values", MAX_VALUES + 1),
+        )
+    },
+    # a loc prefix is an identity-width slalom, so its cell count is bounded too
+    "width-identity-loc-prefix": lambda: condition_from_obj(
+        {"kind": "loc", "prefix": [[]] * (MAX_VALUES + 1), "side": {"horizon": 1, "functions": []}}
+    ),
+    # a decoded slalom holds at most MAX_VALUES cells, whether its file gives widths or not
+    "slalom-file-past-max-values": lambda: Slalom.from_obj({"cells": [[]] * (MAX_VALUES + 1)}),
+    "slalom-file-widths-past-max-values": lambda: Slalom.from_obj(
+        {"cells": [[]] * (MAX_VALUES + 1), "width": [0] * (MAX_VALUES + 1)}
+    ),
     "kind-splitting-nodes": lambda: splitting_nodes(FiniteTree("laver", {()}), 0),
     "kind-canonical-enum": lambda: canonical_enum(TREE),
     "kind-proj-loc-to-d": lambda: proj_loc_to_d(CohenCond(F1)),
@@ -322,7 +340,7 @@ LIBRARY_REFUSALS = {
 
 @pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
 def test_library_refusals_are_cichon_errors(case):
-    expected = MalformedInput if case.startswith("state-") else CichonError
+    expected = MalformedInput if case.startswith(("state-", "width-identity-")) else CichonError
     with pytest.raises(expected):
         LIBRARY_REFUSALS[case]()
 
@@ -365,6 +383,12 @@ REFUSAL_MESSAGES = {
     "block-partition-huge-width": (
         "block partition needs 1000000000000 positions, over 1000000"
     ),
+    "width-identity-string": "identity width horizon must be natural numbers, got '3'",
+    "width-identity-bool": "identity width horizon must be natural numbers, got True",
+    "width-identity-huge": f"identity width horizon {2**70} exceeds 1000000",
+    "width-identity-loc-prefix": "identity width horizon 1000001 exceeds 1000000",
+    "slalom-file-past-max-values": "slalom cell count 1000001 exceeds 1000000",
+    "slalom-file-widths-past-max-values": "slalom cell count 1000001 exceeds 1000000",
 }
 
 
@@ -595,6 +619,55 @@ def test_check_naturals_matches_definition(values):
     assert refusal(_check_naturals, values, "values") == expected
     assert refusal(_check_naturals, tuple(values), "values") == expected
     assert refusal(FinFunc, values) == definition_of_naturals(values, "FinFunc values")
+
+
+def test_check_naturals_bounds_each_entry_when_the_sum_reaches_the_bound():
+    """The fast path's sum bound accepts only; entries whose sum reaches
+    MAX_NATURAL are each checked against it by `max`, not by the per-entry
+    loop, and a bool is still named."""
+    near = (MAX_NATURAL - 1,) * 4
+    assert FinFunc(near).values == near
+    assert refusal(_check_naturals, near + (0,), "values") is None
+    builtins = []
+    sys.setprofile(lambda frame, event, arg: event == "c_call" and builtins.append(arg.__name__))
+    try:
+        _check_naturals(near, "values")
+    finally:
+        sys.setprofile(None)
+    assert "max" in builtins and "isinstance" not in builtins, builtins
+    too_large = f"values must be below 10**4000, got a {MAX_NATURAL.bit_length()}-bit value"
+    assert refusal(_check_naturals, (0, 0, 0, MAX_NATURAL), "values") == too_large
+    assert refusal(_check_naturals, near[:3] + (MAX_NATURAL,), "values") == too_large
+    for values in ((1, 2, True, 3), near[:3] + (True,)):
+        assert refusal(_check_naturals, values, "values") == "values must be natural numbers, got True"
+
+
+def test_identity_width_bounds():
+    """An identity width's horizon may be 0 or MAX_VALUES; its widths are 0 to N - 1."""
+    assert WidthProfile.identity(0).widths == ()
+    assert WidthProfile.identity(3) == WidthProfile((0, 1, 2))
+    assert WidthProfile.identity(MAX_VALUES).horizon == MAX_VALUES
+
+
+def test_prefix_equals_the_checked_cut(rng):
+    """`prefix(h)` skips the checks, yet equals the family or slalom built,
+    checked, from the first h positions, for every h up to the horizon."""
+    for _ in range(50):
+        n, count = rng.randrange(6), rng.randrange(4)
+        fam = Family(tuple(FinFunc(tuple(rng.randrange(5) for _ in range(n))) for _ in range(count)), n)
+        widths = tuple(rng.randrange(4) for _ in range(n))
+        sigma = Slalom(tuple(frozenset(rng.sample(range(5), w)) for w in widths), WidthProfile(widths))
+        for h in range(n + 1):
+            assert fam.prefix(h) == Family(tuple(FinFunc(f.values[:h]) for f in fam), h)
+            assert sigma.prefix(h) == Slalom(sigma.cells[:h], WidthProfile(widths[:h]))
+
+
+def test_slalom_file_of_max_values_cells_decodes_in_both_forms():
+    """MAX_VALUES cells decode with or without a width list, to the same slalom."""
+    cells = [[]] * MAX_VALUES
+    implicit = Slalom.from_obj({"cells": cells})
+    assert implicit.horizon == MAX_VALUES
+    assert Slalom.from_obj({"cells": cells, "width": list(range(MAX_VALUES))}) == implicit
 
 
 @given(st.lists(ENTRY_LISTS, max_size=4))
