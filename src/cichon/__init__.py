@@ -12,24 +12,18 @@ from .combinatorics import (
     least_threshold,
 )
 from .constructions import (
-    BitstringFunc,
     BlockPartition,
     BlockSlalom,
     avoider_witness,
     block_encode,
     block_partition,
     columns_slalom,
-    evasion_target,
     family_dominator,
     family_slalom,
-    index_of,
     least_avoider,
-    length_range,
     round_robin_ioe,
     singleton_slalom,
     slalom_dominator,
-    string_encode,
-    string_of,
     sum_evader_bound,
     weave,
 )

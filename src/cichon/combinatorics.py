@@ -394,6 +394,7 @@ def family_report(rel: str, witness, family: Family, mode: str) -> RelationRepor
     """
     if mode not in MODES:
         raise MalformedInput(f"mode must be one of {MODES}, got {mode!r}")
+    _check_shape(family, Family, "family")
     if mode == "bounding":
         reports = tuple(least_threshold(rel, member, witness) for member in family)
         max_threshold = max((r.threshold for r in reports), default=0)

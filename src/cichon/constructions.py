@@ -1,4 +1,5 @@
-"""Constructive witnesses: dominators, weavers, avoiders, and encoders.
+"""Constructive witnesses: dominators, avoiders, capture slaloms, and the
+block encoding, weave and rank columns.
 
 Conventions used throughout (stated once): max of the empty set is 0 and
 the empty sum is 0, so every construction is total.  A block slalom with
@@ -13,7 +14,6 @@ import operator
 from dataclasses import dataclass
 
 from .combinatorics import (
-    MAX_NATURAL,
     MAX_VALUES,
     Family,
     FinFunc,
@@ -28,7 +28,6 @@ from .errors import (
     EmptyFamily,
     HorizonTooShort,
     MalformedInput,
-    NoAdmissibleString,
     ShapeMismatch,
     ZeroWidth,
 )
@@ -273,77 +272,3 @@ def avoider_witness(sigma: Slalom, partition: BlockPartition) -> FinFunc:
     """Weave the rank columns: for x in J_{n,k}, g(x) is the k-th greatest
     member of sigma(x) (0 if sigma(x) has fewer than k members)."""
     return weave(columns_slalom(sigma, partition), partition)
-
-
-# ---------------------------------------------------------------------------
-# Binary-string enumeration and the evasion construction.  Strings are
-# enumerated length-then-lexicographically: the length-n strings occupy the
-# index interval [2^n - 1, 2^(n+1) - 1), and index_of and string_of are
-# mutually inverse.  Lengths stop before an index would reach MAX_NATURAL.
-_MAX_LENGTH = MAX_NATURAL.bit_length() - 2
-
-
-def _check_bits(bits) -> str:
-    """`bits` if it is a string over {0,1}; else MalformedInput."""
-    if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
-        raise MalformedInput(f"bitstring values must be over {{0,1}}, got {bits!r}")
-    return bits
-
-
-def index_of(bits: str) -> int:
-    n = len(_check_bits(bits))
-    offset = int(bits, 2) if n else 0
-    return (1 << n) - 1 + offset
-
-
-def string_of(index: int) -> str:
-    _check_naturals((index,), "string index")
-    n = (index + 1).bit_length() - 1
-    offset = index - ((1 << n) - 1)
-    return format(offset, "b").zfill(n) if n else ""
-
-
-def length_range(n: int) -> range:
-    """Indices of the length-n strings."""
-    _check_naturals((n,), "string length")
-    if n > _MAX_LENGTH:
-        raise MalformedInput(f"string length must be at most {_MAX_LENGTH}, got {n}")
-    return range((1 << n) - 1, (1 << (n + 1)) - 1)
-
-
-@dataclass(frozen=True)
-class BitstringFunc:
-    """A finite-horizon function whose values are binary strings."""
-
-    values: tuple[str, ...]
-
-    def __post_init__(self):
-        values = _as_tuple(self.values, "bitstring values")
-        object.__setattr__(self, "values", tuple(map(_check_bits, values)))
-
-    def __getitem__(self, n: int) -> str:
-        return self.values[n]
-
-
-def string_encode(g: BitstringFunc) -> FinFunc:
-    """Replace each string by its enumeration index."""
-    _check_shape(g, BitstringFunc, "encoded bitstring function")
-    return FinFunc(tuple(map(index_of, g.values)))
-
-
-def evasion_target(sigma: Slalom) -> BitstringFunc:
-    """At each n, the first length-n string whose index escapes sigma(n).
-
-    Encoding the result back through the enumeration lands outside the
-    slalom at every position, by choice of index.
-    """
-    _check_shape(sigma, Slalom, "evasion slalom")
-    values = []
-    for n in range(sigma.horizon):
-        chosen = next(itertools.filterfalse(sigma[n].__contains__, length_range(n)), None)
-        if chosen is None:
-            raise NoAdmissibleString(
-                f"sigma({n}) excludes every length-{n} string index"
-            )
-        values.append(string_of(chosen))
-    return BitstringFunc(tuple(values))

@@ -19,23 +19,28 @@ import json
 import os
 from dataclasses import dataclass
 
-from .combinatorics import _check_shape, dump_json
+from .combinatorics import FinFunc, _check_shape, dump_json
+from .constructions import block_encode, singleton_slalom, slalom_dominator, weave
 from .errors import MalformedInput, UnknownForcing
 
 NODES = ("Empty", "BIn", "BLeq", "BNeq", "DNeq", "DLeq", "DIn", "AllNew")
 REGION_NODES = NODES[1:]
 
-EDGES = (
-    ("Empty", "BIn"),
-    ("BIn", "BLeq"),
-    ("BLeq", "BNeq"),
-    ("BIn", "DNeq"),
-    ("BLeq", "DLeq"),
-    ("BNeq", "DIn"),
-    ("DNeq", "DLeq"),
-    ("DLeq", "DIn"),
-    ("DIn", "AllNew"),
-)
+# Each arrow a -> b, the inclusion of a in b, mapped to (witness, link): the
+# construction that proves it and the finite implication it carries, where
+# "on [k, N)" means at every position from k up to the horizon N; or None
+# and the reason no construction is needed.
+EDGES = {
+    ("Empty", "BIn"): (None, "Empty has no members, so there is nothing to map"),
+    ("BIn", "BLeq"): (slalom_dominator, "f in sigma on [k, N) => f <= max(sigma) + 1 on [k, N)"),
+    ("BLeq", "BNeq"): (FinFunc.successor, "f <= z on [k, N) => f != z + 1 on [k, N)"),
+    ("BIn", "DNeq"): (weave, "block_encode(f)[n] is member j of S[n] => weave(S) = f on some x in J_{n,j}"),
+    ("BLeq", "DLeq"): (FinFunc.successor, "g <= z on [k, N) => z + 1 <= g fails at every n in [k, N)"),
+    ("BNeq", "DIn"): (block_encode, "block_encode(f)[n] is member j of S[n] => f = weave(S) on some x in J_{n,j}"),
+    ("DNeq", "DLeq"): (FinFunc.successor, "f + 1 <= g on [k, N) => f != g on [k, N)"),
+    ("DLeq", "DIn"): (slalom_dominator, "f in sigma on [k, N) => f <= max(sigma) + 1 on [k, N)"),
+    ("DIn", "AllNew"): (singleton_slalom, "f in singleton_slalom(g) on [k, N) <=> f = g on [k, N)"),
+}
 
 EMPTINESS = ("empty", "nonempty", "unknown")
 SEPARATORS = ("distinct", "unknown")
@@ -84,6 +89,12 @@ class Contradiction:
 
     node: str
     chain: tuple[str, ...]
+
+    @property
+    def witnesses(self) -> tuple:
+        """The (witness, link) row of EDGES for each arrow of the chain
+        (None for a step of a hand-built chain that is no arrow)."""
+        return tuple(map(EDGES.get, zip(self.chain, self.chain[1:])))
 
 
 @dataclass(frozen=True)

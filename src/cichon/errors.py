@@ -33,10 +33,6 @@ class ShapeMismatch(CichonError):
     """Block data does not agree with the partition's widths or cells."""
 
 
-class NoAdmissibleString(CichonError):
-    """Every binary string of the required length is excluded."""
-
-
 class KindMismatch(CichonError):
     """A poset operation was applied to conditions of the wrong kind."""
 

@@ -22,7 +22,6 @@ from cichon import (
     block_encode,
     block_partition,
     enumerate_cuts,
-    evasion_target,
     family_dominator,
     family_slalom,
     fusion_leq,
@@ -30,7 +29,6 @@ from cichon import (
     kb_lookup,
     kb_names,
     least_threshold,
-    length_range,
     leq,
     lift_loc_to_d,
     lift_loc_to_e,
@@ -38,8 +36,6 @@ from cichon import (
     proj_loc_to_e,
     propagate,
     round_robin_ioe,
-    slalom_dominator,
-    string_encode,
     sum_evader_bound,
     validate,
     weave,
@@ -64,9 +60,17 @@ from conftest import (
     strengthen_e,
     strengthen_hechler,
 )
-from test_diagram import EXPECTED_PROFILES, brute_force_cuts
+from test_diagram import EXPECTED_EDGES, EXPECTED_PROFILES, brute_force_cuts
 from test_posets import ref_leq
-from universe import e_conditions, hechler_conditions, loc_conditions
+from universe import (
+    block_slaloms,
+    e_conditions,
+    functions,
+    hechler_conditions,
+    identity_slaloms,
+    loc_conditions,
+    partitions,
+)
 
 
 def report(name, ok, detail=""):
@@ -157,68 +161,135 @@ def test_criterion_inclusion_analogues():
     for _ in range(1000):
         horizon = rng.randint(0, 64)
         sigma = make_slalom(rng, horizon, max_value=256)
-        f = make_finfunc(rng, horizon, max_value=256)
-        z = slalom_dominator(sigma)
-        if least_threshold("leq", f, z).threshold > least_threshold("in", f, sigma).threshold:
-            counterexamples += 1
-    for _ in range(1000):
-        horizon = rng.randint(0, 64)
-        f = make_finfunc(rng, horizon, max_value=256)
-        g = make_finfunc(rng, horizon, max_value=256)
-        if least_threshold("neq", f, g).threshold > least_threshold("leq", f.successor(), g).threshold:
-            counterexamples += 1
-    for _ in range(1000):
-        horizon = rng.randint(0, 64)
-        sigma = make_slalom(rng, horizon, max_value=256)
         bound = sum_evader_bound(sigma)
         for n in range(horizon):
             if bound[n] in sigma[n]:
                 counterexamples += 1
     elapsed = time.monotonic() - started
     ok = counterexamples == 0 and elapsed < 10.0
-    report("inclusion analogues (3 x 1000 instances, zero counterexamples, < 10 s)", ok,
+    report("inclusion analogues (1000 evader bounds, zero counterexamples, < 10 s)", ok,
            f"{counterexamples} counterexamples in {elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------------------
-# Criterion: weave agreement core
+# Criterion: every arrow's witness carries its finite implication
 
 
-def test_criterion_weave_agreement():
-    rng = random.Random(1002)
-    counterexamples = 0
-    matches = 0
-    for _ in range(500):
+def thr(rel, f, target):
+    return least_threshold(rel, f, target).threshold
+
+
+def dominated_where_captured(w, f, sigma):
+    k = thr("in", f, sigma)
+    if k < f.horizon:
+        yield thr("leq", f, w(sigma)) <= k
+
+
+def successor_differs(w, f, z):
+    k = thr("leq", f, z)
+    if k < f.horizon:
+        yield thr("neq", f, w(z)) <= k
+
+
+def successor_escapes(w, g, z):
+    k = thr("leq", g, z)
+    if k < g.horizon:
+        yield not any(w(z)[n] <= g[n] for n in range(k, g.horizon))
+
+
+def differs_where_successor_below(w, f, g):
+    k = thr("leq", w(f), g)
+    if k < f.horizon:
+        yield thr("neq", f, g) <= k
+
+
+def singleton_captures_equals(w, f, g):
+    equal_from = next(k for k in range(f.horizon + 1) if f.values[k:] == g.values[k:])
+    yield thr("in", f, w(g)) == equal_from
+
+
+def block_law(encode, glue, f, sigma, partition):
+    """Where encode(f)[n] is member j of S[n], padded with constant-0
+    members, glue(S) meets f on J_{n,j}: one verdict per such member."""
+    code, g = encode(f, partition), glue(sigma, partition)
+    for n, cells in enumerate(partition.cells):
+        padded = [*sigma[n], *[dict.fromkeys(code[n], 0)] * (len(cells) - len(sigma[n]))]
+        for member, cell in zip(padded, cells):
+            if member == code[n]:
+                yield any(g[x] == f[x] for x in cell)
+
+
+# Per witnessed arrow: the kind of instance and a law that calls the arrow's
+# witness from EDGES and yields one verdict per instance meeting its premise.
+EDGE_LAWS = {
+    ("BIn", "BLeq"): ("captures", dominated_where_captured),
+    ("BLeq", "BNeq"): ("pairs", successor_differs),
+    ("BIn", "DNeq"): ("blocks", lambda w, *case: block_law(block_encode, w, *case)),
+    ("BLeq", "DLeq"): ("pairs", successor_escapes),
+    ("BNeq", "DIn"): ("blocks", lambda w, *case: block_law(w, weave, *case)),
+    ("DNeq", "DLeq"): ("pairs", differs_where_successor_below),
+    ("DLeq", "DIn"): ("captures", dominated_where_captured),
+    ("DIn", "AllNew"): ("pairs", singleton_captures_equals),
+}
+
+
+def edge_instances(rng):
+    """The H = 3, V = 2 universe, then seeded random instances up to
+    horizon 64 and values below 256, with planted captures and matches."""
+    fs = [functions(h, 2) for h in range(4)]
+    cases = {
+        "pairs": [(f, g) for same in fs for f in same for g in same],
+        "captures": [(f, s) for s in identity_slaloms(3, 2) for f in fs[s.horizon]],
+        "blocks": [
+            (f, sigma, p)
+            for p in partitions(3)
+            for sigma in block_slaloms(p, 2)
+            for f in fs[3]
+        ],
+    }
+    for _ in range(300):
+        horizon = rng.randint(0, 64)
+        f = make_finfunc(rng, horizon)
+        cases["pairs"].append((f, make_finfunc(rng, horizon)))
+        # a near copy of f, so that equal, lower and higher values all occur
+        near = FinFunc(tuple(max(v + rng.randint(-1, 2), 0) for v in f.values))
+        cases["pairs"].append((f, near))
+        sigma = make_slalom(rng, horizon)
+        captured = [min(c) if c and rng.random() < 0.8 else v for c, v in zip(sigma.cells, f.values)]
+        cases["captures"].append((FinFunc(captured), sigma))
         blocks = rng.randint(1, 4)
         width = WidthProfile(tuple(rng.randint(1, 3) for _ in range(blocks)))
-        partition = block_partition(width, blocks, cell_size=rng.randint(1, 2))
-        f = make_finfunc(rng, partition.covered_horizon, 8)
-        entries = []
-        for n in range(blocks):
-            positions = sorted(partition.block(n))
-            members = []
-            for _ in range(rng.randint(0, width[n])):
-                if rng.random() < 0.4:
-                    members.append({x: f[x] for x in positions})
-                else:
-                    members.append({x: rng.randrange(8) for x in positions})
-            entries.append(tuple(members))
-        sigma = BlockSlalom(tuple(entries), width)
-        g = weave(sigma, partition)
-        encoded = block_encode(f, partition)
-        for n in range(blocks):
-            positions = sorted(partition.block(n))
-            zero = {x: 0 for x in positions}
-            padded = list(sigma[n]) + [zero] * (width[n] - len(sigma[n]))
-            for k, member in enumerate(padded):
-                if member == encoded[n]:
-                    matches += 1
-                    cell = partition.cells[n][k]
-                    if not any(g[x] == f[x] for x in cell):
-                        counterexamples += 1
-    ok = counterexamples == 0 and matches > 0
-    report("weave agreement (500 triples, brute-force block scan)", ok,
-           f"{matches} matching blocks, {counterexamples} counterexamples")
+        p = block_partition(width, blocks, cell_size=rng.randint(1, 2))
+        f = make_finfunc(rng, p.covered_horizon, 8)
+        entries = [
+            tuple(
+                {x: f[x] if planted else rng.randrange(8) for x in p.block(n)}
+                for planted in (rng.random() < 0.4 for _ in range(rng.randint(0, width[n])))
+            )
+            for n in range(blocks)
+        ]
+        cases["blocks"].append((f, BlockSlalom(tuple(entries), width), p))
+    return cases
+
+
+def test_criterion_edge_witnesses():
+    """Every arrow of EDGES has a row: a callable witness whose finite
+    implication holds on every instance meeting its premise, and on at
+    least one, or None with a reason."""
+    started = time.monotonic()
+    cases = edge_instances(random.Random(1002))
+    witnessed = {edge for edge, (witness, _) in EDGES.items() if witness is not None}
+    ok = set(EDGES) == set(EXPECTED_EDGES) and witnessed == set(EDGE_LAWS)
+    ok = ok and all(link and (w is None or callable(w)) for w, link in EDGES.values())
+    counts = {}
+    for edge, (kind, law) in EDGE_LAWS.items():
+        witness = EDGES[edge][0]
+        verdicts = [v for case in cases[kind] for v in law(witness, *case)]
+        counts["->".join(edge)] = f"{verdicts.count(False)} of {len(verdicts)}"
+        ok = ok and verdicts and all(verdicts)
+    elapsed = time.monotonic() - started
+    report("edge witnesses (8 witnessed arrows, H = 3, V = 2 universe and random, < 2 s)",
+           bool(ok) and elapsed < 2.0, f"counterexamples {counts}; {elapsed:.2f} s")
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +548,5 @@ def test_criterion_construction_bounds():
             for f in fam:
                 if hit_count("eq", g, f) < floor:
                     counterexamples += 1
-    for _ in range(300):
-        horizon = rng.randint(0, 8)
-        cells = []
-        for n in range(horizon):
-            pool = list(length_range(n))
-            cells.append(frozenset(rng.sample(pool, rng.randint(0, min(n, len(pool))))))
-        sigma = Slalom(tuple(cells), WidthProfile.identity(horizon))
-        encoded = string_encode(evasion_target(sigma))
-        for n in range(horizon):
-            if encoded[n] in sigma[n]:
-                counterexamples += 1
-    report("construction bounds (dominator, round robin, capture, evasion)",
+    report("construction bounds (dominator, round robin, capture)",
            counterexamples == 0, f"{counterexamples} counterexamples")

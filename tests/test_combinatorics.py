@@ -7,6 +7,7 @@ import inspect
 import itertools
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 import cichon
 from cichon import (
-    BitstringFunc,
     BlockPartition,
     BlockSlalom,
     CohenCond,
@@ -36,17 +36,14 @@ from cichon import (
     columns_slalom,
     emit_dot,
     emit_json,
-    evasion_target,
     family_dominator,
     family_report,
     family_slalom,
     fusion_leq,
     hit_count,
-    index_of,
     kb_lookup,
     least_avoider,
     least_threshold,
-    length_range,
     leq,
     lift_loc_to_d,
     lift_loc_to_e,
@@ -58,8 +55,6 @@ from cichon import (
     singleton_slalom,
     slalom_dominator,
     splitting_nodes,
-    string_encode,
-    string_of,
     sum_evader_bound,
     validate,
     weave,
@@ -196,25 +191,14 @@ LIBRARY_REFUSALS = {
     "evading-relation": lambda: family_report("leq", F1, Family((F1,), 1), "evading"),
     # no member for hit_count to refuse
     "evading-relation-empty-family": lambda: family_report("leq", F1, Family((), 1), "evading"),
+    "family-report-family-number": lambda: family_report("leq", FinFunc((1, 2, 3)), 5, "bounding"),
+    "family-report-family-list": lambda: family_report("leq", FinFunc((1, 2, 3)), [F1], "bounding"),
     "too-many-blocks": lambda: block_partition(WidthProfile((1,)), 2),
     "cell-size": lambda: block_partition(WidthProfile((1,)), 1, cell_size=0),
     "block-count-string": lambda: block_partition(W1, "x"),
     "block-count-negative": lambda: block_partition(W1, -1),
     "cell-size-string": lambda: block_partition(W1, 1, cell_size="x"),
     "block-partition-huge-width": lambda: block_partition(WidthProfile((10**12,)), 1),
-    "string-index": lambda: string_of(-1),
-    "string-index-string": lambda: string_of("x"),
-    "string-index-bool": lambda: string_of(True),
-    # int(bits, 2) alone would read these as the indices of "1" and "01"
-    "bits-signed": lambda: index_of("-1"),
-    "bits-spaced": lambda: index_of(" 1"),
-    "bits-letter": lambda: index_of("x"),
-    "bits-none": lambda: index_of(None),
-    "string-length": lambda: length_range(-1),
-    "string-length-none": lambda: length_range(None),
-    # 1 << n alone would try to allocate these
-    "string-length-huge": lambda: length_range(2**63),
-    "string-length-long": lambda: length_range(10**12),
     "fusion-index": lambda: fusion_leq("sacks", TREE, TREE, -1),
     "fusion-index-string": lambda: fusion_leq("sacks", TREE, TREE, "x"),
     "splitting-level-string": lambda: splitting_nodes(TREE, "x"),
@@ -225,14 +209,12 @@ LIBRARY_REFUSALS = {
     "columns-short-slalom": lambda: columns_slalom(
         Slalom.identity_width([]), block_partition(W1, 1)
     ),
-    "bitstring-value": lambda: BitstringFunc(("2",)),
     "family-member-list": lambda: Family([[1]], 1),
     "container-finfunc-none": lambda: FinFunc(None),
     "container-width-profile-number": lambda: WidthProfile(5),
     "container-slalom-none": lambda: Slalom(None, W1),
     "container-slalom-identity-width-number": lambda: Slalom.identity_width(5),
     "container-family-number": lambda: Family(5, 1),
-    "container-bitstring-none": lambda: BitstringFunc(None),
     "cohen-stem-list": lambda: leq("cohen", CohenCond([1]), CohenCond([1])),
     "hechler-side-list": lambda: leq("hechler", HechlerCond(FinFunc(()), [1]), 1),
     "hechler-stem-list": lambda: HechlerCond([1], F1),
@@ -266,7 +248,6 @@ LIBRARY_REFUSALS = {
     "block-partition-class-width-list": lambda: weave(
         BlockSlalom(((),), W1), BlockPartition((), [1])
     ),
-    "evasion-target-list": lambda: evasion_target([[1]]),
     "family-dominator-list": lambda: family_dominator([[1]]),
     "least-avoider-list": lambda: least_avoider([[1]]),
     "family-slalom-list": lambda: family_slalom([[1]]),
@@ -274,7 +255,6 @@ LIBRARY_REFUSALS = {
     "slalom-dominator-list": lambda: slalom_dominator([[1]]),
     "sum-evader-bound-list": lambda: sum_evader_bound([[1]]),
     "singleton-slalom-list": lambda: singleton_slalom([1]),
-    "string-encode-list": lambda: string_encode(["1"]),
     "block-encode-function-list": lambda: block_encode([1], P1),
     "block-encode-partition-list": lambda: block_encode(F1, [1]),
     "weave-block-slalom-list": lambda: weave([[]], P1),
@@ -731,5 +711,100 @@ def test_package_exports_only_classes_and_functions():
     for name in cichon.__all__:
         value = getattr(cichon, name)
         assert isinstance(value, type) or inspect.isfunction(value), name
-    assert {"compose_profiles", "parity_map"}.isdisjoint(cichon.__all__)
+    dropped = {"compose_profiles", "parity_map", "BitstringFunc", "index_of", "string_of"}
+    dropped |= {"length_range", "string_encode", "evasion_target"}
+    assert dropped.isdisjoint(cichon.__all__)
     assert {"FinFunc", "leq", "block_partition", "reduce_e", "enumerate_cuts"} <= set(cichon.__all__)
+
+
+F3 = FinFunc((1, 2, 3))
+FAM = Family((F3, FinFunc((0, 2, 5))), 3)
+SIGMA = Slalom.identity_width([(), (1,), (0, 2)])
+W12 = WidthProfile((1, 2))
+P12 = block_partition(W12, 2)
+SACKS = FiniteTree("sacks", {(), (0,), (1,)})
+LAVER = FiniteTree("laver", {(), (0,), (3,)})
+STATE = DiagramState({"AllNew": "nonempty"}, (REGION_NODES,), (), "a citation")
+LOC4 = LocCond(Slalom.identity_width([(), (2,)]), Family((FinFunc((1, 1, 1, 1)),), 4))
+# Valid arguments for every public callable.
+VALID_CALLS = {
+    "BlockPartition": (P12.cells, W12),
+    "BlockSlalom": ((({0: 1},), ({1: 2, 2: 3},)), W12),
+    "CohenCond": (F3,),
+    "Contradiction": ("DIn", ("BIn", "BLeq", "BNeq", "DIn")),
+    "Cut": (frozenset({"AllNew"}), "cohen"),
+    "DiagramState": (STATE.emptiness, STATE.classes, STATE.separators, STATE.citation),
+    "ECond": (F3, FAM),
+    "Family": ((F3,), 3),
+    "FinFunc": ((1, 2, 3),),
+    "FiniteTree": ("laver", {(), (0,), (3,)}),
+    "HechlerCond": (F3, FinFunc((2, 2, 2))),
+    "LocCond": (SIGMA, FAM),
+    "ProductCond": (SACKS, LAVER),
+    "RelationReport": ("leq", "bounding", (), None, 0, math.inf),
+    "Slalom": (SIGMA.cells, SIGMA.width),
+    "ThresholdReport": (1, False),
+    "WidthProfile": ((1, 2),),
+    "avoider_witness": (SIGMA, P12),
+    "block_encode": (F3, P12),
+    "block_partition": (W12, 2, 1),
+    "canonical_enum": (LAVER,),
+    "columns_slalom": (SIGMA, P12),
+    "emit_dot": (STATE,),
+    "emit_json": (STATE,),
+    "enumerate_cuts": (),
+    "family_dominator": (FAM,),
+    "family_report": ("leq", F3, FAM, "bounding"),
+    "family_slalom": (FAM,),
+    "fusion_leq": ("sacks", SACKS, SACKS, 1),
+    "hit_count": ("eq", F3, F3),
+    "kb_lookup": ("cohen",),
+    "kb_names": (),
+    "least_avoider": (FAM,),
+    "least_threshold": ("in", F3, SIGMA),
+    "leq": ("laver", LAVER, LAVER),
+    "lift_loc_to_d": (LOC4, HechlerCond(FinFunc((0, 2, 9, 9)), FinFunc((2, 2, 9, 9)))),
+    "lift_loc_to_e": (LOC4, ECond(FinFunc((0, 0, 0, 2)), LOC4.side)),
+    "proj_loc_to_d": (LOC4,),
+    "proj_loc_to_e": (LOC4,),
+    "propagate": (STATE,),
+    "reduce_e": (ECond(FinFunc((0, 0, 0, 2)), LOC4.side), 0),
+    "round_robin_ioe": (FAM,),
+    "singleton_slalom": (F3,),
+    "slalom_dominator": (SIGMA,),
+    "splitting_nodes": (SACKS, 1),
+    "sum_evader_bound": (SIGMA,),
+    "validate": (LOC4,),
+    "weave": (BlockSlalom((({0: 1},), ({1: 2, 2: 3},)), W12), P12),
+}
+JUNK = (None, -1, 0, True, "x", "", [], {}, (), 1.5, float("nan"), frozenset(), b"", [[1]], {"x": 1}, object())
+
+
+def test_junk_arguments_raise_only_cichon_errors():
+    """Each public callable, from valid arguments, with one junk value in one
+    argument at a time and then a seeded sample of two at a time, returns
+    or raises a CichonError, never another exception."""
+    for name, args in VALID_CALLS.items():
+        getattr(cichon, name)(*args)
+    calls = [
+        (name, ((i, junk),)) for name, args in VALID_CALLS.items() for i in range(len(args)) for junk in JUNK
+    ]
+    rng = random.Random(29)
+    several = [name for name, args in VALID_CALLS.items() if len(args) > 1]
+    for _ in range(2000):
+        name = rng.choice(several)
+        i, j = rng.sample(range(len(VALID_CALLS[name])), 2)
+        calls.append((name, ((i, rng.choice(JUNK)), (j, rng.choice(JUNK)))))
+    leaks = []
+    for name, replaced in calls:
+        args = list(VALID_CALLS[name])
+        for i, junk in replaced:
+            args[i] = junk
+        try:
+            getattr(cichon, name)(*args)
+        except CichonError:
+            pass
+        except Exception as leaked:
+            leaks.append(f"{name}{tuple(args)!r}: {type(leaked).__name__}: {leaked}")
+    assert leaks == []
+    assert set(VALID_CALLS) == set(cichon.__all__)

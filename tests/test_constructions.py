@@ -7,7 +7,6 @@ import random
 import pytest
 
 from cichon import (
-    BitstringFunc,
     BlockPartition,
     BlockSlalom,
     Family,
@@ -18,28 +17,22 @@ from cichon import (
     block_encode,
     block_partition,
     columns_slalom,
-    evasion_target,
     family_dominator,
     family_slalom,
     hit_count,
-    index_of,
     least_avoider,
     least_threshold,
-    length_range,
     round_robin_ioe,
     singleton_slalom,
     slalom_dominator,
-    string_encode,
-    string_of,
     sum_evader_bound,
     weave,
 )
-from cichon.combinatorics import MAX_NATURAL, MAX_VALUES
+from cichon.combinatorics import MAX_VALUES
 from cichon.errors import (
     EmptyFamily,
     HorizonTooShort,
     MalformedInput,
-    NoAdmissibleString,
     ShapeMismatch,
     ZeroWidth,
 )
@@ -445,6 +438,16 @@ def test_avoider_witness_example():
     assert g[2] == 0
 
 
+def test_avoider_witness_misses_a_captured_function():
+    """The rank columns prove no arrow: f is captured on the block J_2 =
+    {2}, yet the column there is the greatest member of sigma(2), not f(2)."""
+    p = block_partition(WidthProfile((1, 1, 1)), 3)
+    sigma = Slalom.identity_width([(), (1,), (0, 1)])
+    f = FinFunc((0, 1, 0))
+    assert least_threshold("in", f, sigma).threshold == 1
+    assert avoider_witness(sigma, p)[2] == 1 != f[2]
+
+
 def rank_invariant_holds(sigma, partition):
     g = avoider_witness(sigma, partition)
     for n in range(partition.block_count):
@@ -482,66 +485,3 @@ def test_avoider_pointwise_match(rng):
                     ranked = sorted(sigma[x], reverse=True)
                     if f[x] in sigma[x] and len(ranked) >= k and ranked[k - 1] == f[x]:
                         assert g[x] == f[x]
-
-
-# ---------------------------------------------------------------------------
-# String enumeration
-
-
-def test_enumeration_prefix():
-    assert [string_of(k) for k in range(7)] == ["", "0", "1", "00", "01", "10", "11"]
-
-
-def test_enumeration_round_trip():
-    for k in range(200):
-        assert index_of(string_of(k)) == k
-    assert list(length_range(3)) == list(range(7, 15))
-    # the longest strings: their last index stays below MAX_NATURAL, the
-    # next length's last index, 2^13288 - 2, would not
-    last = length_range(13286)[-1]
-    assert string_of(last) == "1" * 13286 and index_of(string_of(last)) == last
-    assert last < MAX_NATURAL <= 2 * last + 2
-    with pytest.raises(MalformedInput, match="^string length must be at most 13286, got 13287$"):
-        length_range(13287)
-
-
-def test_string_encode_example():
-    g = BitstringFunc(("", "0", "01"))
-    assert string_encode(g).values == (0, 1, 4)
-    assert BitstringFunc(["", "0", "01"]) == g  # a list is frozen to a tuple
-    assert hash(BitstringFunc(["01"])) == hash(BitstringFunc(("01",)))
-
-
-def test_string_encode_injective_per_position():
-    seen = {index_of(string_of(k)) for k in range(64)}
-    assert len(seen) == 64
-
-
-def test_evasion_target_example():
-    sigma = Slalom(
-        (frozenset(), frozenset(), frozenset({3, 4})),
-        WidthProfile((0, 1, 2)),
-    )
-    target = evasion_target(sigma)
-    assert target[2] == "10"
-    assert target[0] == ""
-    assert target[1] == "0"
-
-
-def test_evasion_target_no_admissible():
-    sigma = Slalom((frozenset({0}),), WidthProfile((1,)))
-    with pytest.raises(NoAdmissibleString):
-        evasion_target(sigma)
-
-
-def test_evasion_escapes(rng):
-    for _ in range(100):
-        horizon = rng.randint(0, 7)
-        cells = []
-        for n in range(horizon):
-            indices = list(length_range(n))
-            cells.append(frozenset(rng.sample(indices, rng.randint(0, min(n, len(indices))))))
-        sigma = Slalom(tuple(cells), WidthProfile.identity(horizon))
-        encoded = string_encode(evasion_target(sigma))
-        for n in range(horizon):
-            assert encoded[n] not in sigma[n]

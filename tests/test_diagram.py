@@ -14,12 +14,15 @@ import cichon
 from cichon import (
     Contradiction,
     DiagramState,
+    FinFunc,
+    block_encode,
     emit_dot,
     emit_json,
     enumerate_cuts,
     kb_lookup,
     kb_names,
     propagate,
+    slalom_dominator,
 )
 from cichon.diagram import EDGES, NODE_RANK, NODES, REGION_NODES
 from cichon.errors import UnknownForcing
@@ -223,6 +226,23 @@ def test_propagate_matches_brute_force_on_every_state():
                 for node in NODES
             }
     assert 0 < contradictions < 3**7
+
+
+def test_contradiction_witnesses_follow_the_chain():
+    """`witnesses` reads the EDGES row of each arrow along the chain; it is
+    not a field, so the repr and equality stay those of (node, chain)."""
+    result = propagate(DiagramState({"DIn": "empty", "BIn": "nonempty"}))
+    assert result == Contradiction("DIn", ("BIn", "BLeq", "BNeq", "DIn"))
+    assert repr(result) == "Contradiction(node='DIn', chain=('BIn', 'BLeq', 'BNeq', 'DIn'))"
+    assert [w for w, _ in result.witnesses] == [slalom_dominator, FinFunc.successor, block_encode]
+    assert result.witnesses[0][1] == "f in sigma on [k, N) => f <= max(sigma) + 1 on [k, N)"
+    for state in all_states():
+        result = propagate(state)
+        if isinstance(result, Contradiction):
+            assert len(result.witnesses) == len(result.chain) - 1
+            assert None not in result.witnesses
+    assert Contradiction("BIn", ("BIn",)).witnesses == ()
+    assert Contradiction("DIn", ("BIn", "DIn")).witnesses == (None,)
 
 
 SWEEP = """

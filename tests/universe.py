@@ -2,16 +2,28 @@
 
 Every function of horizon H with values below V, every family of at most
 k distinct such functions, every identity-width slalom of horizon at most
-H with cell values below V, and the valid loc, hechler and e conditions
-built from them (stems of horizon at most H, sides of horizon H).  Laws
-that quantify over all conditions are checked here on all of them.
+H with cell values below V, the block partitions of at most H positions
+with every block slalom over them, and the valid loc, hechler and e
+conditions built from them (stems of horizon at most H, sides of horizon
+H).  Laws that quantify over all conditions are checked here on all of
+them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from cichon import ECond, Family, FinFunc, HechlerCond, LocCond, Slalom
+from cichon import (
+    BlockSlalom,
+    ECond,
+    Family,
+    FinFunc,
+    HechlerCond,
+    LocCond,
+    Slalom,
+    WidthProfile,
+    block_partition,
+)
 
 
 def functions(horizon, values):
@@ -46,6 +58,35 @@ def identity_slaloms(horizon, values):
         for h in range(horizon + 1)
         for prefix in product(*cells[:h])
     ]
+
+
+def compositions(total):
+    """The tuples of positive widths that sum to `total`."""
+    if total == 0:
+        return [()]
+    return [(first, *rest) for first in range(1, total + 1) for rest in compositions(total - first)]
+
+
+def partitions(horizon):
+    """Consecutive block partitions of at most `horizon` positions, with
+    cells of one size."""
+    return [
+        block_partition(WidthProfile(widths), len(widths), size)
+        for size in range(1, horizon + 1)
+        for total in range(1, horizon // size + 1)
+        for widths in compositions(total)
+    ]
+
+
+def block_slaloms(partition, values):
+    """Every block slalom over the partition: block n holds at most h(n)
+    partial functions on J_n with values below `values`, in order."""
+    entries = []
+    for n, cells in enumerate(partition.cells):
+        domain = sorted(partition.block(n))
+        members = [dict(zip(domain, v)) for v in product(range(values), repeat=len(domain))]
+        entries.append([e for k in range(len(cells) + 1) for e in product(members, repeat=k)])
+    return [BlockSlalom(chosen, partition.width) for chosen in product(*entries)]
 
 
 def loc_conditions(horizon, values, members):
