@@ -41,11 +41,6 @@ def _columns(family: Family):
     return zip(*(f.values for f in family))
 
 
-def _outside(excluded):
-    """The naturals outside `excluded`, in order."""
-    return itertools.filterfalse(excluded.__contains__, itertools.count())
-
-
 # ---------------------------------------------------------------------------
 # Pointwise witnesses from a slalom or a family
 
@@ -64,7 +59,9 @@ def sum_evader_bound(sigma: Slalom) -> FinFunc:
 
 def family_dominator(family: Family) -> FinFunc:
     """d(n) = 1 + max over members; capture threshold 0 for every member."""
-    return FinFunc(tuple(1 + max(column, default=0) for column in _columns(family)))
+    rows = [f.values for f in _check_shape(family, Family, "family")]
+    zeros = (0,) * family.horizon  # twice: `max` needs two arguments, even with 0 or 1 members
+    return FinFunc(tuple(map(operator.add, itertools.repeat(1), map(max, *rows, zeros, zeros))))
 
 
 def least_avoider(family: Family) -> FinFunc:
@@ -73,7 +70,9 @@ def least_avoider(family: Family) -> FinFunc:
     Differs from every member at every position while staying bounded by
     the family size, the bounded eventually-different witness.
     """
-    return FinFunc(tuple(next(_outside(set(column))) for column in _columns(family)))
+    columns = _columns(family)
+    full = frozenset(range(len(family) + 1))  # a column misses one of these
+    return FinFunc(tuple(map(min, map(full.difference, columns))))
 
 
 def round_robin_ioe(family: Family) -> FinFunc:

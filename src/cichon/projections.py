@@ -12,12 +12,17 @@ equal outputs.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import count, filterfalse, islice
 
 from .combinatorics import Family, FinFunc, Slalom, _check_naturals
-from .constructions import _columns, _outside
+from .constructions import _columns
 from .errors import FamilyTooLarge, NotBelowProjection, RankTooLarge
 from .posets import ECond, HechlerCond, LocCond, leq, require_valid
+
+
+def _outside(excluded):
+    """The naturals outside `excluded`, in order."""
+    return filterfalse(excluded.__contains__, count())
 
 
 def _rank_outside(excluded: set[int], m: int) -> int | None:

@@ -539,8 +539,22 @@ class Natural(int):
     """A natural of an int subclass, not of type int."""
 
 
+class PosingAsInt(type):
+    """A metaclass whose classes compare equal to every class, int included."""
+
+    def __eq__(cls, other):
+        return True
+
+    __hash__ = type.__hash__
+
+
+class Impostor(metaclass=PosingAsInt):
+    """Not an int, though `type(Impostor()) == int` holds."""
+
+
 INTS = st.integers(-3, 20) | st.sampled_from(
     [MAX_NATURAL - 1, MAX_NATURAL, MAX_NATURAL + 1, 1 - MAX_NATURAL, -MAX_NATURAL, -(10**5000)]
+    + [2**64 - 1, 2**64, -(2**64)]
 )
 ENTRIES = st.one_of(
     INTS,
@@ -593,6 +607,13 @@ def refusal(check, *args):
 @example([0, 0, True])
 @example([0, 0, 0, -1])
 @example([0, 0, 0, 1.5])
+@example([2**64 - 1] * 5)
+@example([0, 0, 0, 0, 2**64])
+@example([-(2**64), 0, 0, 0, 0])
+@example([2**64 - 1, 0, -1, 0, 0])
+@example([2**64, 0, 0, 0, True])
+@example([Natural(1), 2**64, 0, 0, 0])
+@example([0, 0, 0, 0, Impostor()])
 @given(ENTRY_LISTS)
 def test_check_naturals_matches_definition(values):
     expected = definition_of_naturals(values, "values")
@@ -602,9 +623,9 @@ def test_check_naturals_matches_definition(values):
 
 
 def test_check_naturals_bounds_each_entry_when_the_sum_reaches_the_bound():
-    """The fast path's sum bound accepts only; entries whose sum reaches
-    MAX_NATURAL are each checked against it by `max`, not by the per-entry
-    loop, and a bool is still named."""
+    """Entries that the fast path's `array("Q")` probe refuses, yet are
+    below MAX_NATURAL, are each checked against it by `max`, not by the
+    per-entry loop, and a bool is still named."""
     near = (MAX_NATURAL - 1,) * 4
     assert FinFunc(near).values == near
     assert refusal(_check_naturals, near + (0,), "values") is None

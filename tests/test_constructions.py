@@ -155,14 +155,21 @@ def test_family_slalom_width_and_capture(rng):
 
 def test_family_witnesses_match_definitions(rng):
     """The column-wise witnesses against their per-position definitions, on
-    the empty family, horizon 0 and random families (round robin needs a
-    member)."""
+    the empty family, horizon 0, random families (round robin needs a
+    member), one-member families, families whose every column holds
+    0..|F| - 1 (so the avoider reaches |F|) and one 200 x 200 family."""
     shapes = [(0, 0), (0, 3), (6, 0)] + [
         (rng.randint(0, 10), rng.randint(0, 5)) for _ in range(200)
     ]
-    for horizon, count in shapes:
-        fam = make_family(rng, horizon, count, 6)
-        members = fam.functions
+    families = [make_family(rng, horizon, count, 6) for horizon, count in shapes]
+    families += [make_family(rng, rng.randint(0, 10), 1, 6) for _ in range(20)]
+    families += [
+        Family(tuple(FinFunc(tuple((i + n) % count for n in range(7))) for i in range(count)), 7)
+        for count in range(1, 6)
+    ]
+    families.append(make_family(rng, 200, 200, 200))
+    for fam in families:
+        members, horizon, count = fam.functions, fam.horizon, len(fam)
         positions = range(horizon)
         dominator = tuple(1 + max([f[n] for f in members], default=0) for n in positions)
         avoider = tuple(
