@@ -107,15 +107,22 @@ class FiniteTree:
         return frozenset(chain.from_iterable(self.nodes))
 
     @cached_property
-    def _fanout(self) -> Counter[Node]:
+    def _fanout(self) -> dict[Node, int]:
         """Child count of every parent of a node: the tree's one index."""
-        return Counter(map(itemgetter(slice(None, -1)), self.nodes - {()}))
+        return dict(Counter(map(itemgetter(slice(None, -1)), self.nodes - {()})))
 
     @cached_property
     def _split_levels(self) -> dict[Node, int]:
-        """Splitting level (splitting proper prefixes) of each splitting node."""
-        splits = {node for node, count in self._fanout.items() if count >= 2}
-        return {node: sum(node[:i] in splits for i in range(len(node))) for node in splits}
+        """Splitting level (splitting proper prefixes) of each splitting node.
+        Read only from valid, so prefix-closed, trees: shortest first, a node
+        takes its nearest splitting proper prefix's level plus 1, else 0."""
+        levels: dict[Node, int] = {}
+        for node in sorted((node for node, count in self._fanout.items() if count >= 2), key=len):
+            cut = len(node) - 1
+            while cut >= 0 and node[:cut] not in levels:
+                cut -= 1
+            levels[node] = levels[node[:cut]] + 1 if cut >= 0 else 0
+        return levels
 
     @cached_property
     def _violations(self) -> tuple[str, ...]:
@@ -147,7 +154,8 @@ def _validate_tree(t: FiniteTree) -> list[str]:
     if () not in t.nodes:
         return ["tree must contain the root"]
     # a node breaks prefix closure iff its parent, a key of _fanout, is missing
-    missing = t._fanout.keys() - t.nodes
+    parents = set(t._fanout)
+    missing = parents - t.nodes
     flagged = [(n, "not prefix-closed") for n in t.nodes if n[:-1] in missing] if missing else []
     if t.kind == "sacks" and not t._entries <= {0, 1}:
         flagged += [(n, "binary alphabet violated") for n in t.nodes if not {0, 1}.issuperset(n)]
@@ -156,7 +164,7 @@ def _validate_tree(t: FiniteTree) -> list[str]:
     # node order, so the message does not depend on how the set was built
     flagged.sort(key=lambda item: item[0])
     out = [f"{clause} at {list(node)}" for node, clause in flagged]
-    depth, leaves = t.depth, t.nodes - t._fanout.keys()
+    depth, leaves = t.depth, t.nodes - parents
     if set(map(len, leaves)) != {depth}:
         for leaf in sorted(leaves):
             if len(leaf) != depth:
@@ -273,8 +281,9 @@ def canonical_enum(tree: FiniteTree) -> list[Node]:
     # and the stem is the shortest splitting node, or the leaf of a chain
     fanout = require_valid(tree, "laver")._fanout
     height = min((len(node) for node, count in fanout.items() if count >= 2), default=tree.depth)
-    above = [node for node in tree.nodes if len(node) > height]
-    return sorted(above, key=lambda node: (len(node), node))
+    above = sorted(node for node in tree.nodes if len(node) > height)
+    above.sort(key=len)  # stable: lexicographic within a length
+    return above
 
 
 def fusion_leq(kind: str, a: Condition, b: Condition, n: int) -> bool:
@@ -297,11 +306,7 @@ def _keeps_levels(a: FiniteTree, b: FiniteTree, n: int) -> bool:
     splitting levels up to n; a laver tree, b's first n + 1 canonical nodes."""
     if a.kind == "sacks":
         theirs = b._split_levels
-        return all(
-            theirs.get(node) == level
-            for node, level in a._split_levels.items()
-            if level <= n
-        )
+        return all(theirs.get(node) == level for node, level in a._split_levels.items() if level <= n)
     return canonical_enum(a)[: n + 1] == canonical_enum(b)[: n + 1]
 
 

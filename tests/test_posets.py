@@ -62,6 +62,34 @@ def loc(cells, functions, horizon):
     )
 
 
+def spaced_binary(depth, gap, stem=0, spine_only=False):
+    """A sacks tree whose nodes split at lengths stem, stem + gap, ... below
+    depth (only along the all-zero spine if spine_only, a comb) and else
+    extend by 0, so splitting nodes lie gap - 1 non-splitting steps apart."""
+    nodes, frontier = {()}, [()]
+    for length in range(depth):
+        splits = length >= stem and (length - stem) % gap == 0
+        frontier = [
+            node + (bit,)
+            for node in frontier
+            for bit in ((0, 1) if splits and not (spine_only and any(node)) else (0,))
+        ]
+        nodes.update(frontier)
+    return FiniteTree("sacks", frozenset(nodes))
+
+
+SPACED_TREES = [
+    spaced_binary(9, 3, spine_only=True),
+    spaced_binary(11, 4, stem=1, spine_only=True),
+    spaced_binary(10, 3),
+    spaced_binary(12, 5, stem=2),
+    spaced_binary(14, 20, stem=11),  # one split deep under a long stem
+    spaced_binary(6, 20, stem=6),  # no split at all: a chain
+    FiniteTree("sacks", frozenset({(), (1,), (1, 0), (1, 0, 1)})),
+    FiniteTree("sacks", frozenset({()})),
+]
+
+
 # ---------------------------------------------------------------------------
 # Validity
 
@@ -366,6 +394,14 @@ def test_splitting_nodes_chain():
     chain = FiniteTree("sacks", frozenset({(), (1,), (1, 0)}))
     for n in range(4):
         assert splitting_nodes(chain, n) == []
+    for t in SPACED_TREES[-3:]:
+        assert not any(splitting_nodes(t, n) for n in range(t.depth + 2))
+
+
+def test_splitting_nodes_across_non_splitting_steps():
+    comb = SPACED_TREES[0]
+    assert [splitting_nodes(comb, n) for n in range(4)] == [[()], [(0,) * 3], [(0,) * 6], []]
+    assert splitting_nodes(SPACED_TREES[4], 0) == [(0,) * 11]
 
 
 def test_splitting_nodes_match_oracle(rng):
@@ -380,6 +416,9 @@ def test_canonical_enum_examples():
     assert canonical_enum(two) == [(0,), (1,)]
     bare = FiniteTree("laver", frozenset({(), (3,), (3, 1)}))
     assert canonical_enum(bare) == []
+    # numeric order within a length: (2,) before (10,)
+    numeric = FiniteTree("laver", frozenset({(), (2,), (10,), (2, 10), (2, 3), (10, 0)}))
+    assert canonical_enum(numeric) == [(2,), (10,), (2, 3), (2, 10), (10, 0)]
 
 
 def test_canonical_enum_ancestors_first(rng):
@@ -604,7 +643,7 @@ def test_tree_violations_independent_of_node_order():
 
 
 def test_tree_tables_match_oracle(rng):
-    for t in sample_trees(rng) + EDGE_TREES:
+    for t in sample_trees(rng) + EDGE_TREES + SPACED_TREES:
         brute = BruteTree(t)
         if brute.validate():
             with pytest.raises(InvalidCondition):
@@ -619,6 +658,7 @@ def test_tree_tables_match_oracle(rng):
 def test_fusion_matches_oracle(rng):
     trees = sample_trees(rng)
     pairs = [(t, prune_tree(rng, t)) for t in trees] + list(zip(trees, trees[1:]))
+    pairs += [(t, prune_tree(rng, t)) for t in SPACED_TREES for _ in range(6)]
     for b, a in pairs:
         if a.kind != b.kind:
             continue
