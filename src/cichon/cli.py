@@ -52,7 +52,7 @@ def _dump(obj) -> str:
 def _load_json(path: str):
     """The file's JSON value, read as text mode would read it: UTF-8 only,
     with its line ends translated to "\\n"."""
-    with open(path, "rb") as handle:
+    with open(path, "rb", buffering=0) as handle:
         data = handle.read()
     try:
         text = data.decode("utf-8")

@@ -80,7 +80,10 @@ def dump_json(obj, indent: str = "") -> str:
     That call never reaches json's C encoder, which serves only indent=None,
     so the containers are laid out here.  Keys and exact str, int, bool and
     None scalars are written as json writes them; other scalars, floats
-    included, still go through json.
+    included, still go through json.  A list of exact ints, or of rows of
+    exact ints, is laid out by one template of brackets, commas, spaces,
+    newlines and `%d`s, filled by one `%` over the block's ints (for an exact
+    int, `%d` writes `int.__repr__`); keys and strings never reach a template.
     """
     kind = type(obj)
     if kind is str:
@@ -93,15 +96,17 @@ def dump_json(obj, indent: str = "") -> str:
         return "null"
     inner = indent + "  "
     if isinstance(obj, (list, tuple)) and obj:
-        kinds = set(map(type, obj))
+        kinds, values = set(map(type, obj)), ()
         if kinds == {int}:
-            items = map(str, obj)
-        elif kinds <= {list, tuple} and set(map(type, itertools.chain.from_iterable(obj))) <= {int}:
-            sep = f",\n{inner}  "  # rows of ints, each laid out by one join
-            items = [f"[\n{inner}  {sep.join(map(str, row))}\n{inner}]" if row else "[]" for row in obj]
+            items, values = ["%d"] * len(obj), tuple(obj)
+        elif kinds <= {list, tuple} and set(map(type, flat := tuple(itertools.chain.from_iterable(obj)))) <= {int}:
+            sep = f",\n{inner}  "  # one row template per distinct row length
+            rows = {n: f"[\n{inner}  {sep.join(['%d'] * n)}\n{inner}]" if n else "[]" for n in set(map(len, obj))}
+            items, values = map(rows.__getitem__, map(len, obj)), flat
         else:
             items = [dump_json(v, inner) for v in obj]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+        text = f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+        return text % values if values else text  # recursed-into text may hold a "%"
     if isinstance(obj, dict) and obj:
         key = json.encoder.encode_basestring_ascii
         items = [f"{key(k)}: {dump_json(v, inner)}" for k, v in sorted(obj.items())]

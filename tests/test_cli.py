@@ -723,6 +723,12 @@ def test_run_restores_the_collector_state(tmp_path, enabled, argv, code):
         (gc.enable if was else gc.disable)()
 
 
+def test_a_directory_input_is_an_os_error(tmp_path):
+    """Inputs are read unbuffered; a directory still fails to open, exit 2."""
+    argv = _gc_argv(tmp_path, CHECK_F + ["leq", "--g", "{d}"])
+    assert invoke(argv) == (2, "", f"IsADirectoryError: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
 def test_run_pauses_the_collector_while_a_command_emits(monkeypatch):
     seen = []
     monkeypatch.setattr("cichon.cli._dump", lambda obj: seen.append(gc.isenabled()) or "[]")

@@ -701,7 +701,8 @@ class Text(str):
 
 @example({"a": True, "b": None, "c": [False, 0, "\u2028é\n"], "d": 1.0})
 @example([Natural(3), Text("x"), True, 10**4299])
-# rows of exact ints are laid out in one join; anything else is recursed into
+# rows of exact ints are laid out by one `%` template; anything else is
+# recursed into
 @example([[1, 2], [], [3]])
 @example([(1,), []])
 @example([[]])
@@ -710,8 +711,24 @@ class Text(str):
 @example([[1], "x"])
 @example([[[1]]])
 @example([[0, -(10**4299)], [10**4299]])
+# a `%` in keys and strings next to both template branches and in a list
+# recursed into; a bool after an int; distinct row lengths; mixed row types
+@example({"%d": [1, 2], "a%s": [[3], []], "s": "%d%%"})
+@example(["%d%%", [1]])
+@example([1, True])
+@example([[2, False]])
+@example([[1], [2, 3], [], [4, 5, 6]])
+@example([[1], (2, 3)])
 @given(JSON_LIKE)
 def test_dump_json_matches_json_dumps(obj):
+    assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@given(st.lists(st.integers(min_value=-(10**4299), max_value=10**4299), min_size=1))
+def test_dump_json_lays_out_int_lists_as_json_does(ints):
+    """JSON_LIKE seldom draws a long flat list of ints, the shape of a
+    function's values."""
+    obj = {"values": ints, "nested": [ints, [ints]]}
     assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
