@@ -60,8 +60,8 @@ def sum_evader_bound(sigma: Slalom) -> FinFunc:
 def family_dominator(family: Family) -> FinFunc:
     """d(n) = 1 + max over members; capture threshold 0 for every member."""
     rows = [f.values for f in _check_shape(family, Family, "family")]
-    zeros = (0,) * family.horizon  # twice: `max` needs two arguments, even with 0 or 1 members
-    return FinFunc(tuple(map(operator.add, itertools.repeat(1), map(max, *rows, zeros, zeros))))
+    zeros = (0,) * family.horizon  # gives the empty family a column at every position
+    return FinFunc(tuple(map(operator.add, itertools.repeat(1), map(max, zip(*rows, zeros)))))
 
 
 def least_avoider(family: Family) -> FinFunc:
@@ -71,8 +71,8 @@ def least_avoider(family: Family) -> FinFunc:
     the family size, the bounded eventually-different witness.
     """
     columns = _columns(family)
-    full = frozenset(range(len(family) + 1))  # a column misses one of these
-    return FinFunc(tuple(map(min, map(full.difference, columns))))
+    full = frozenset(range(len(family) + 1))  # a column holding 0 misses one of these
+    return FinFunc(tuple([min(full.difference(column)) if 0 in column else 0 for column in columns]))
 
 
 def round_robin_ioe(family: Family) -> FinFunc:

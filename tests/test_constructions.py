@@ -157,7 +157,9 @@ def test_family_witnesses_match_definitions(rng):
     """The column-wise witnesses against their per-position definitions, on
     the empty family, horizon 0, random families (round robin needs a
     member), one-member families, families whose every column holds
-    0..|F| - 1 (so the avoider reaches |F|) and one 200 x 200 family."""
+    0..|F| - 1 (so the avoider reaches |F|), families with an all-zero
+    member (every column holds 0), families with no 0 in any column,
+    one-member all-zero families and one 200 x 200 family."""
     shapes = [(0, 0), (0, 3), (6, 0)] + [
         (rng.randint(0, 10), rng.randint(0, 5)) for _ in range(200)
     ]
@@ -167,6 +169,13 @@ def test_family_witnesses_match_definitions(rng):
         Family(tuple(FinFunc(tuple((i + n) % count for n in range(7))) for i in range(count)), 7)
         for count in range(1, 6)
     ]
+    for _ in range(30):
+        horizon, count = rng.randint(0, 10), rng.randint(0, 5)
+        zero = FinFunc((0,) * horizon)
+        families.append(Family(make_family(rng, horizon, count, 6).functions + (zero,), horizon))
+        no_zero = (FinFunc(tuple(rng.randint(1, 6) for _ in range(horizon))) for _ in range(count))
+        families.append(Family(tuple(no_zero), horizon))
+    families += [Family((FinFunc((0,) * horizon),), horizon) for horizon in range(6)]
     families.append(make_family(rng, 200, 200, 200))
     for fam in families:
         members, horizon, count = fam.functions, fam.horizon, len(fam)
