@@ -14,10 +14,8 @@ from .combinatorics import (
 from .constructions import (
     BlockPartition,
     BlockSlalom,
-    avoider_witness,
     block_encode,
     block_partition,
-    columns_slalom,
     family_dominator,
     family_slalom,
     least_avoider,

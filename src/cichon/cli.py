@@ -154,6 +154,8 @@ def _truncate(obj, horizon):
 
 def _cmd_construct(args):
     if args.kind == "random-family":
+        if args.family is not None:
+            raise MalformedInput("--family is not accepted by --kind random-family")
         if args.seed is None or args.horizon is None or args.max_value < 1:
             raise MalformedInput("random-family needs --seed, --horizon, --max-value >= 1")
         # a member costs a line of output even on horizon 0

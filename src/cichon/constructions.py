@@ -1,5 +1,5 @@
 """Constructive witnesses: dominators, avoiders, capture slaloms, and the
-block encoding, weave and rank columns.
+block encoding and weave.
 
 Conventions used throughout (stated once): max of the empty set is 0 and
 the empty sum is 0, so every construction is total.  A block slalom with
@@ -46,9 +46,9 @@ def _columns(family: Family):
 
 
 def slalom_dominator(sigma: Slalom) -> FinFunc:
-    """z(n) = max(sigma(n)) + 1; dominates anything the slalom captures."""
+    """z(n) = max(sigma(n)); bounds anything the slalom captures."""
     _check_shape(sigma, Slalom, "dominator slalom")
-    return FinFunc(tuple(max(cell, default=0) + 1 for cell in sigma.cells))
+    return FinFunc(tuple(max(cell, default=0) for cell in sigma.cells))
 
 
 def sum_evader_bound(sigma: Slalom) -> FinFunc:
@@ -248,26 +248,3 @@ def weave(block_slalom: BlockSlalom, partition: BlockPartition) -> FinFunc:
                 out[x] = w[x]
     return FinFunc(tuple(out))
 
-
-def columns_slalom(sigma: Slalom, partition: BlockPartition) -> BlockSlalom:
-    """w^n_k(l) = k-th greatest member of sigma(l) (1-indexed), 0 if absent."""
-    _check_shape(sigma, Slalom, "columns slalom")
-    _check_shape(partition, BlockPartition, "block partition")
-    if sigma.horizon < partition.covered_horizon:
-        raise HorizonTooShort(
-            f"slalom horizon {sigma.horizon} < covered horizon {partition.covered_horizon}"
-        )
-    entries = []
-    for n in range(partition.block_count):
-        ranked = {l: sorted(sigma[l], reverse=True) for l in sorted(partition.block(n))}
-        members = []
-        for k in range(partition.width[n]):
-            members.append({l: cell[k] if len(cell) > k else 0 for l, cell in ranked.items()})
-        entries.append(tuple(members))
-    return BlockSlalom(tuple(entries), partition.width)
-
-
-def avoider_witness(sigma: Slalom, partition: BlockPartition) -> FinFunc:
-    """Weave the rank columns: for x in J_{n,k}, g(x) is the k-th greatest
-    member of sigma(x) (0 if sigma(x) has fewer than k members)."""
-    return weave(columns_slalom(sigma, partition), partition)

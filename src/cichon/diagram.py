@@ -32,13 +32,13 @@ REGION_NODES = NODES[1:]
 # and the reason no construction is needed.
 EDGES = {
     ("Empty", "BIn"): (None, "Empty has no members, so there is nothing to map"),
-    ("BIn", "BLeq"): (slalom_dominator, "f in sigma on [k, N) => f <= max(sigma) + 1 on [k, N)"),
+    ("BIn", "BLeq"): (slalom_dominator, "f in sigma on [k, N) => f <= max(sigma) on [k, N)"),
     ("BLeq", "BNeq"): (FinFunc.successor, "f <= z on [k, N) => f != z + 1 on [k, N)"),
     ("BIn", "DNeq"): (weave, "block_encode(f)[n] is member j of S[n] => weave(S) = f on some x in J_{n,j}"),
     ("BLeq", "DLeq"): (FinFunc.successor, "g <= z on [k, N) => z + 1 <= g fails at every n in [k, N)"),
     ("BNeq", "DIn"): (block_encode, "block_encode(f)[n] is member j of S[n] => f = weave(S) on some x in J_{n,j}"),
     ("DNeq", "DLeq"): (FinFunc.successor, "f + 1 <= g on [k, N) => f != g on [k, N)"),
-    ("DLeq", "DIn"): (slalom_dominator, "f in sigma on [k, N) => f <= max(sigma) + 1 on [k, N)"),
+    ("DLeq", "DIn"): (slalom_dominator, "f in sigma on [k, N) => f <= max(sigma) on [k, N)"),
     ("DIn", "AllNew"): (singleton_slalom, "f in singleton_slalom(g) on [k, N) <=> f = g on [k, N)"),
 }
 

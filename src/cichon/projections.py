@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import count, filterfalse, islice
 
 from .combinatorics import Family, FinFunc, Slalom, _check_naturals
-from .constructions import _columns
+from .constructions import _columns, slalom_dominator
 from .errors import FamilyTooLarge, NotBelowProjection, RankTooLarge
 from .posets import ECond, HechlerCond, LocCond, leq, require_valid
 
@@ -45,7 +45,7 @@ def proj_loc_to_d(c: LocCond) -> HechlerCond:
     the sum, and only the maximum makes the map order preserving.
     """
     require_valid(c, "loc")
-    stem = FinFunc(tuple(max(cell, default=0) for cell in c.prefix.cells))
+    stem = slalom_dominator(c.prefix)
     side = FinFunc(tuple(max(column, default=0) for column in _columns(c.side)))
     return HechlerCond(stem, side)
 

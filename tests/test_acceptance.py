@@ -18,7 +18,6 @@ from cichon import (
     ProductCond,
     Slalom,
     WidthProfile,
-    avoider_witness,
     block_encode,
     block_partition,
     enumerate_cuts,
@@ -290,30 +289,6 @@ def test_criterion_edge_witnesses():
     elapsed = time.monotonic() - started
     report("edge witnesses (8 witnessed arrows, H = 3, V = 2 universe and random, < 2 s)",
            bool(ok) and elapsed < 2.0, f"counterexamples {counts}; {elapsed:.2f} s")
-
-
-# ---------------------------------------------------------------------------
-# Criterion: rank-column core
-
-
-def test_criterion_rank_invariant():
-    rng = random.Random(1003)
-    counterexamples = 0
-    for _ in range(500):
-        blocks = rng.randint(1, 4)
-        width = WidthProfile(tuple(rng.randint(1, 3) for _ in range(blocks)))
-        partition = block_partition(width, blocks, cell_size=rng.randint(1, 2))
-        sigma = make_slalom(rng, partition.covered_horizon, 32)
-        g = avoider_witness(sigma, partition)
-        for n in range(blocks):
-            for k, cell in enumerate(partition.cells[n], start=1):
-                for x in cell:
-                    ranked = sorted(sigma[x], reverse=True)
-                    expected = ranked[k - 1] if len(ranked) >= k else 0
-                    if g[x] != expected:
-                        counterexamples += 1
-    report("rank invariant (500 avoider witnesses, every position)",
-           counterexamples == 0, f"{counterexamples} counterexamples")
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,11 @@ def test_construct_seed_rejected_elsewhere(tmp_path):
         ["construct", "--kind", "dominator", "--family", fam, "--seed", "3"]
     )
     assert code == 2
+    code, _, err = invoke(
+        ["construct", "--kind", "random-family", "--family", fam, "--seed", "3", "--horizon", "2"]
+    )
+    assert code == 2
+    assert "--family is not accepted by --kind random-family" in err
 
 
 def test_poset_leq(tmp_path):

@@ -29,11 +29,9 @@ from cichon import (
     ProductCond,
     Slalom,
     WidthProfile,
-    avoider_witness,
     block_encode,
     block_partition,
     canonical_enum,
-    columns_slalom,
     emit_dot,
     emit_json,
     family_dominator,
@@ -206,9 +204,6 @@ LIBRARY_REFUSALS = {
     "reduce-e-negative-start": lambda: reduce_e(E1, -3),
     "weave-widths": lambda: weave(BlockSlalom(((),), WidthProfile((2,))), block_partition(W1, 1)),
     "weave-entry-count": lambda: weave(BlockSlalom((), W1), block_partition(W1, 1)),
-    "columns-short-slalom": lambda: columns_slalom(
-        Slalom.identity_width([]), block_partition(W1, 1)
-    ),
     "family-member-list": lambda: Family([[1]], 1),
     "container-finfunc-none": lambda: FinFunc(None),
     "container-width-profile-number": lambda: WidthProfile(5),
@@ -232,9 +227,6 @@ LIBRARY_REFUSALS = {
     "container-slalom-cell-number": lambda: Slalom([5], W1),
     # a hand-built partition whose one cell reaches past the input's horizon
     "far-partition-encode": lambda: block_encode(F1, BlockPartition(((frozenset(range(6)),),), W1)),
-    "far-partition-avoider": lambda: avoider_witness(
-        Slalom.identity_width([()]), BlockPartition(((frozenset(range(6)),),), W1)
-    ),
     # hand-built partitions with junk fields, and one past MAX_VALUES positions
     "container-block-partition-cells-none": lambda: block_encode(F1, BlockPartition(None, W1)),
     "container-block-partition-block-number": lambda: block_encode(F1, BlockPartition((5,), W1)),
@@ -259,8 +251,6 @@ LIBRARY_REFUSALS = {
     "block-encode-partition-list": lambda: block_encode(F1, [1]),
     "weave-block-slalom-list": lambda: weave([[]], P1),
     "weave-partition-list": lambda: weave(BlockSlalom(((),), W1), [1]),
-    "columns-slalom-list": lambda: columns_slalom([[1]], P1),
-    "columns-partition-list": lambda: columns_slalom(Slalom.identity_width([()]), [1]),
     "validate-not-a-condition": lambda: validate([1]),
     "condition-to-obj-number": lambda: condition_to_obj(5),
     "unknown-poset-kind": lambda: leq("foo", TREE, TREE),
@@ -350,7 +340,6 @@ REFUSAL_MESSAGES = {
     ),
     "block-partition-cell-number": "block partition block must hold only frozensets",
     "far-partition-encode": "horizon 1 < covered horizon 6",
-    "far-partition-avoider": "slalom horizon 1 < covered horizon 6",
     "block-partition-position-string": (
         "block partition positions must be natural numbers, got 'a'"
     ),
@@ -783,11 +772,9 @@ VALID_CALLS = {
     "Slalom": (SIGMA.cells, SIGMA.width),
     "ThresholdReport": (1, False),
     "WidthProfile": ((1, 2),),
-    "avoider_witness": (SIGMA, P12),
     "block_encode": (F3, P12),
     "block_partition": (W12, 2, 1),
     "canonical_enum": (LAVER,),
-    "columns_slalom": (SIGMA, P12),
     "emit_dot": (STATE,),
     "emit_json": (STATE,),
     "enumerate_cuts": (),

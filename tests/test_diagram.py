@@ -235,7 +235,7 @@ def test_contradiction_witnesses_follow_the_chain():
     assert result == Contradiction("DIn", ("BIn", "BLeq", "BNeq", "DIn"))
     assert repr(result) == "Contradiction(node='DIn', chain=('BIn', 'BLeq', 'BNeq', 'DIn'))"
     assert [w for w, _ in result.witnesses] == [slalom_dominator, FinFunc.successor, block_encode]
-    assert result.witnesses[0][1] == "f in sigma on [k, N) => f <= max(sigma) + 1 on [k, N)"
+    assert result.witnesses[0][1] == "f in sigma on [k, N) => f <= max(sigma) on [k, N)"
     for state in all_states():
         result = propagate(state)
         if isinstance(result, Contradiction):
