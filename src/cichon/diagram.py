@@ -1,13 +1,13 @@
 """The eight-node inclusion diagram: reachability, emptiness propagation,
 cut enumeration, and the forcing knowledge base.
 
-Nodes name the bounding/non-dominating regions for the three threshold
-relations, sandwiched between the always-empty bottom and the region of
-all new reals.  Arrows are inclusions, so nonemptiness flows up the
-arrows and emptiness flows down; a cut is an upward-closed set of
-nonempty nodes.  The knowledge base records, per classical forcing, which
-regions its extension makes nonempty and which equalities between regions
-are asserted, left open, or refuted.
+Nodes name the bounding/non-dominating regions of four relations: the
+three threshold relations, and eventual equality, whose regions are the
+always-empty bottom and all new reals.  Arrows are inclusions, so
+nonemptiness flows up the arrows and emptiness flows down; a cut is an
+upward-closed set of nonempty nodes.  The knowledge base records, per
+classical forcing, which regions its extension makes nonempty and which
+equalities between regions are asserted, left open, or refuted.
 """
 
 from __future__ import annotations
@@ -26,21 +26,25 @@ from .errors import MalformedInput, UnknownForcing
 NODES = ("Empty", "BIn", "BLeq", "BNeq", "DNeq", "DLeq", "DIn", "AllNew")
 REGION_NODES = NODES[1:]
 
-# Each arrow a -> b, the inclusion of a in b, mapped to (witness, link): the
-# construction that proves it and the finite implication it carries, where
-# "on [k, N)" means at every position from k up to the horizon N; or None
-# and the reason no construction is needed.
-EDGES = {
-    ("Empty", "BIn"): (None, "Empty has no members, so there is nothing to map"),
-    ("BIn", "BLeq"): (slalom_dominator, "f in sigma on [k, N) => f <= max(sigma) on [k, N)"),
-    ("BLeq", "BNeq"): (FinFunc.successor, "f <= z on [k, N) => f != z + 1 on [k, N)"),
-    ("BIn", "DNeq"): (weave, "block_encode(f)[n] is member j of S[n] => weave(S) = f on some x in J_{n,j}"),
-    ("BLeq", "DLeq"): (FinFunc.successor, "g <= z on [k, N) => z + 1 <= g fails at every n in [k, N)"),
-    ("BNeq", "DIn"): (block_encode, "block_encode(f)[n] is member j of S[n] => f = weave(S) on some x in J_{n,j}"),
-    ("DNeq", "DLeq"): (FinFunc.successor, "f + 1 <= g on [k, N) => f != g on [k, N)"),
-    ("DLeq", "DIn"): (slalom_dominator, "f in sigma on [k, N) => f <= max(sigma) on [k, N)"),
-    ("DIn", "AllNew"): (singleton_slalom, "f in singleton_slalom(g) on [k, N) <=> f = g on [k, N)"),
-}
+# Each relation R as its node pair (B(R), D(R)), the bounding and the
+# non-dominating region; its dual (x R* y iff not y R x) is the pair reversed.
+EQ, IN, LEQ, NEQ = ("Empty", "AllNew"), ("BIn", "DIn"), ("BLeq", "DLeq"), ("BNeq", "DNeq")
+
+# The morphisms (R, S, phi+, phi-, link) of Brendle, Brooke-Taylor, Ng and
+# Nies after Blass: phi-(x) R y => x S phi+(y) (phi- None: the identity), so
+# B(R) is in B(S) and D(S) in D(R); link is the finite implication, "on
+# [k, N)" meaning at every position from k to the horizon N.  Over a finite
+# ground set G, B(=*) is empty only when two members of G differ on [k, N).
+MORPHISMS = (
+    (EQ, IN, singleton_slalom, None, "f = g on [k, N) => f in singleton_slalom(g) on [k, N)"),
+    (IN, LEQ, slalom_dominator, None, "f in sigma on [k, N) => f <= max(sigma) on [k, N)"),
+    (LEQ, NEQ, FinFunc.successor, None, "f <= z on [k, N) => f != z + 1 on [k, N)"),
+    (IN, NEQ[::-1], weave, block_encode, "block_encode(f)[n] is member j of S[n] => f = weave(S) on some x in J_{n,j}"),
+    (LEQ, LEQ[::-1], FinFunc.successor, None, "g <= z on [k, N) => z + 1 <= g fails at every n in [k, N)"),
+)
+# Each arrow a -> b, the inclusion of a in b, mapped to its morphism row: the
+# B(R) -> B(S) arrows in row order, then the D(S) -> D(R) arrows in reverse.
+EDGES = {(m[0][0], m[1][0]): m for m in MORPHISMS} | {(m[1][1], m[0][1]): m for m in reversed(MORPHISMS)}
 
 EMPTINESS = ("empty", "nonempty", "unknown")
 SEPARATORS = ("distinct", "unknown")
@@ -92,8 +96,7 @@ class Contradiction:
 
     @property
     def witnesses(self) -> tuple:
-        """The (witness, link) row of EDGES for each arrow of the chain
-        (None for a step of a hand-built chain that is no arrow)."""
+        """Each chain step's morphism row in EDGES (None if it is no arrow)."""
         return tuple(map(EDGES.get, zip(self.chain, self.chain[1:])))
 
 
@@ -114,13 +117,15 @@ class DiagramState:
     def __post_init__(self):
         emptiness = {node: "unknown" for node in NODES}
         emptiness.update(_check_shape(self.emptiness, dict, "diagram emptiness"))
-        emptiness["Empty"] = "empty"
-        object.__setattr__(self, "emptiness", emptiness)
         for node, value in emptiness.items():
             if node not in NODES:
                 raise MalformedInput(f"unknown diagram node {node!r}")
             if value not in EMPTINESS:
                 raise MalformedInput(f"unknown emptiness value {value!r}")
+        if emptiness["Empty"] == "nonempty":
+            raise MalformedInput("diagram node 'Empty' cannot be nonempty")
+        emptiness["Empty"] = "empty"
+        object.__setattr__(self, "emptiness", emptiness)
         if self.citation is not None:
             _check_shape(self.citation, str, "diagram citation")
         if self.classes is None:

@@ -135,6 +135,10 @@ P1 = block_partition(W1, 1)
 BAD_STATES = {
     "node": {"emptiness": {"Nowhere": "empty"}},
     "value": {"emptiness": {"BIn": "maybe"}},
+    # Empty is always empty: "nonempty" is refused, not rewritten
+    "empty-value": {"emptiness": {"Empty": "maybe"}},
+    "empty-number": {"emptiness": {"Empty": 3}},
+    "empty-nonempty": {"emptiness": {"Empty": "nonempty"}},
     "emptiness-number": {"emptiness": 5},
     "classes": {"emptiness": {}, "classes": [["BIn"]]},
     # seven members under valid separators, so only the partition rule refuses

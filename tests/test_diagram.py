@@ -15,7 +15,6 @@ from cichon import (
     Contradiction,
     DiagramState,
     FinFunc,
-    block_encode,
     emit_dot,
     emit_json,
     enumerate_cuts,
@@ -23,8 +22,9 @@ from cichon import (
     kb_names,
     propagate,
     slalom_dominator,
+    weave,
 )
-from cichon.diagram import EDGES, NODE_RANK, NODES, REGION_NODES
+from cichon.diagram import EDGES, MORPHISMS, NODE_RANK, NODES, REGION_NODES
 from cichon.errors import UnknownForcing
 
 EXPECTED_EDGES = {
@@ -121,6 +121,18 @@ def test_diagram_shape():
     assert len(nodes) == 8
     assert len(edges) == 9
     assert set(edges) == EXPECTED_EDGES
+
+
+def test_five_morphisms_give_the_nine_arrows():
+    """Each row R -> S gives B(R) -> B(S) and D(S) -> D(R): nine distinct
+    arrows from five rows, the self-dual row giving one arrow twice; their
+    order in EDGES is the one HECHLER_DOT pins."""
+    arrows = [((r[0], s[0]), (s[1], r[1])) for r, s, *_ in MORPHISMS]
+    assert len(MORPHISMS) == 5
+    assert len({arrow for pair in arrows for arrow in pair}) == 9
+    assert [b == d for b, d in arrows] == [False] * 4 + [True]
+    assert all(EDGES[arrow] is row for row, pair in zip(MORPHISMS, arrows) for arrow in pair)
+    assert EDGES["Empty", "BIn"] is EDGES["DIn", "AllNew"]
 
 
 def test_two_paths_to_din():
@@ -229,13 +241,13 @@ def test_propagate_matches_brute_force_on_every_state():
 
 
 def test_contradiction_witnesses_follow_the_chain():
-    """`witnesses` reads the EDGES row of each arrow along the chain; it is
-    not a field, so the repr and equality stay those of (node, chain)."""
+    """`witnesses` reads the morphism row of each arrow along the chain; it
+    is not a field, so the repr and equality stay those of (node, chain)."""
     result = propagate(DiagramState({"DIn": "empty", "BIn": "nonempty"}))
     assert result == Contradiction("DIn", ("BIn", "BLeq", "BNeq", "DIn"))
     assert repr(result) == "Contradiction(node='DIn', chain=('BIn', 'BLeq', 'BNeq', 'DIn'))"
-    assert [w for w, _ in result.witnesses] == [slalom_dominator, FinFunc.successor, block_encode]
-    assert result.witnesses[0][1] == "f in sigma on [k, N) => f <= max(sigma) on [k, N)"
+    assert result.witnesses == MORPHISMS[1:4]
+    assert [plus for _, _, plus, _, _ in result.witnesses] == [slalom_dominator, FinFunc.successor, weave]
     for state in all_states():
         result = propagate(state)
         if isinstance(result, Contradiction):
