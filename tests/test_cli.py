@@ -77,12 +77,14 @@ def test_diagram_empty_forcing_is_unknown():
 
 
 def test_check_leq_reflexive(tmp_path):
-    f = write(tmp_path, "f.json", [3, 1, 4])
-    code, out, _ = invoke(["check", "--relation", "leq", "--f", f, "--g", f])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["threshold"] == 0
-    assert payload["holds"] is True
+    # 2**64, past the 5-entry file's array probe, is still a natural
+    for values in ([3, 1, 4], [0, 1, 2, 3, 2**64]):
+        f = write(tmp_path, "f.json", values)
+        code, out, _ = invoke(["check", "--relation", "leq", "--f", f, "--g", f])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["threshold"] == 0
+        assert payload["holds"] is True
 
 
 def test_check_vacuous_fails(tmp_path):
@@ -91,6 +93,7 @@ def test_check_vacuous_fails(tmp_path):
     code, out, _ = invoke(["check", "--relation", "neq", "--f", f, "--g", g])
     assert code == 1
     payload = json.loads(out)
+    assert payload["holds"] is False
     assert payload["vacuous"] is True
     assert payload["counterexample_position"] == 0
 
@@ -123,10 +126,15 @@ def test_check_malformed_json(tmp_path):
     assert code == 2
 
 
+# the columns {0, 1, 2}, {0, 1, 7}, {2, 5, 7}, {0, 3}, {0, 1, 2}
+COLUMNS = {"horizon": 5, "functions": [[0, 1, 2, 3, 0], [1, 0, 5, 0, 1], [2, 7, 7, 0, 2]]}
+
+
 def test_construct_dominator(tmp_path):
     fam = write(tmp_path, "fam.json", {"horizon": 2, "functions": [[1, 2], [3, 0]]})
     code, out, _ = invoke(["construct", "--kind", "dominator", "--family", fam])
     assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     capture = {"threshold": 0, "vacuous": False}
     assert json.loads(out) == {
         "kind": "dominator",
@@ -136,6 +144,10 @@ def test_construct_dominator(tmp_path):
             "hits": None, "max_threshold": 0, "min_hits": "inf",
         },
     }
+    # one more than each column's maximum
+    fam = write(tmp_path, "fam.json", COLUMNS)
+    code, out, _ = invoke(["construct", "--kind", "dominator", "--family", fam])
+    assert (code, json.loads(out)["witness"]) == (0, [3, 8, 8, 4, 3])
 
 
 def test_construct_ioe(tmp_path):
@@ -163,6 +175,13 @@ def test_construct_slalom(tmp_path):
     payload = json.loads(out)
     assert payload["witness"]["cells"] == [[], [1], [1, 2]]
     assert payload["capture_thresholds"] == [1, 2]
+    # rows of ints are laid out as json.dumps lays them out
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # written plainly (read from the option table) or with --opt=value and
+    # abbreviations (parsed by argparse), the call prints the same bytes
+    plain = invoke(["construct", "--kind", "slalom", "--family", fam, "--horizon", "2"])
+    assert plain[0] == 0
+    assert plain == invoke(["construct", "--kind=slalom", "--fam", fam, "--hor", "2"])
 
 
 def test_construct_evdiff(tmp_path):
@@ -172,6 +191,11 @@ def test_construct_evdiff(tmp_path):
     payload = json.loads(out)
     assert payload["witness"] == [2, 0]
     assert payload["report"]["min_hits"] == 0
+    # the least value outside each column: 0 where the column lacks 0
+    fam = write(tmp_path, "fam.json", COLUMNS)
+    code, out, _ = invoke(["construct", "--kind", "evdiff", "--family", fam])
+    payload = json.loads(out)
+    assert (code, payload["witness"], payload["report"]["hits"]) == (0, [3, 2, 0, 1, 3], [0, 0, 0])
 
 
 def test_construct_evader(tmp_path):
@@ -240,6 +264,7 @@ def test_construct_random_family_seeded():
     assert first[0] == 0
     assert first == second
     payload = json.loads(first[1])
+    assert first[1] == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert payload["horizon"] == 6
     assert len(payload["functions"]) == 4
     # 4 x 64 = 256 draws below the default --max-value
@@ -287,6 +312,10 @@ def test_poset_fusion(tmp_path):
     )
     assert code == 1
     assert json.loads(out)["holds"] is False
+    # a is below b, but drops b's root split; b is fused with itself at any index
+    assert invoke(["poset", "--kind", "sacks", "--op", "leq", "--a", a, "--b", b])[0] == 0
+    fused = ["poset", "--kind", "sacks", "--op", "fusion", "--a", b, "--b", b, "--n", "40"]
+    assert invoke(fused)[0] == 0
     code, _, err = invoke(
         ["poset", "--kind", "sacks", "--op", "fusion", "--a", a, "--b", b]
     )
@@ -829,6 +858,18 @@ MALFORMED = {
         EVADER, {"cells": [5]}, "MalformedInput: slalom cells must hold only lists\n",
     ),
     "deep-nesting": (CHECK, "[" * 100_000, "MalformedInput: {f}: not readable JSON: "),
+    # 5-entry files take the array probe, and are refused as shorter ones are
+    **{
+        f"five-entries-{name}": (
+            CHECK, [0, 1, 2, 3, entry], f"MalformedInput: FinFunc values must be {message}\n",
+        )
+        for name, entry, message in (
+            ("negative", -1, "natural numbers, got -1"),
+            ("bool", True, "natural numbers, got True"),
+            ("float", 1.5, "natural numbers, got 1.5"),
+            ("past-max-natural", MAX_NATURAL, "below 10**4000, got a 13288-bit value"),
+        )
+    },
 }
 
 

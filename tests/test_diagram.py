@@ -133,6 +133,9 @@ def test_five_morphisms_give_the_nine_arrows():
     assert [b == d for b, d in arrows] == [False] * 4 + [True]
     assert all(EDGES[arrow] is row for row, pair in zip(MORPHISMS, arrows) for arrow in pair)
     assert EDGES["Empty", "BIn"] is EDGES["DIn", "AllNew"]
+    for *_, plus, minus, link in MORPHISMS:
+        assert callable(plus) and (minus is None or callable(minus))
+        assert isinstance(link, str) and link.strip()
 
 
 def test_two_paths_to_din():

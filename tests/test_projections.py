@@ -17,6 +17,7 @@ from cichon import (
     proj_loc_to_d,
     proj_loc_to_e,
     reduce_e,
+    slalom_dominator,
     validate,
 )
 from cichon.errors import (
@@ -53,6 +54,10 @@ def test_proj_d_example():
 def test_proj_d_empty_family():
     c = loc([[], [5]], [], 3)
     assert proj_loc_to_d(c).side.values == (0, 0, 0)
+    # the stem is the prefix's cell maximum, 0 for the empty cell
+    c = loc([[], [0], [0, 1]], [], 3)
+    assert proj_loc_to_d(c).stem == slalom_dominator(c.prefix)
+    assert slalom_dominator(c.prefix).values == (0, 0, 1)
 
 
 def test_proj_d_top_to_top():
