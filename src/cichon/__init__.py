@@ -12,10 +12,8 @@ from .combinatorics import (
     least_threshold,
 )
 from .constructions import (
-    BlockPartition,
     BlockSlalom,
     block_encode,
-    block_partition,
     family_dominator,
     family_slalom,
     least_avoider,

@@ -2,9 +2,9 @@
 block encoding and weave.
 
 Conventions used throughout (stated once): max of the empty set is 0 and
-the empty sum is 0, so every construction is total.  A block slalom with
-fewer than h(n) members at a block weaves as if padded with constantly-0
-partial functions.
+the empty sum is 0, so every construction is total.  Block n, J_n, is the
+h(n) positions that follow J_{n-1}; a block slalom with fewer than h(n)
+codes at a block weaves as if padded with constantly-0 codes.
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ from .combinatorics import (
     _check_shape,
     _unchecked,
 )
-from .errors import (
-    EmptyFamily,
-    HorizonTooShort,
-    MalformedInput,
-    ShapeMismatch,
-    ZeroWidth,
-)
+from .errors import EmptyFamily, HorizonTooShort, MalformedInput, ShapeMismatch
 
 
 def _columns(family: Family):
@@ -114,137 +108,64 @@ def family_slalom(family: Family) -> tuple[Slalom, tuple[int, ...]]:
 # Block machinery
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Disjoint nonempty position cells J_{n,k}, k in {1..h(n)}, covering
-    [0, covered_horizon).
-
-    The fields are checked when the partition is built (MalformedInput):
-    each block is a list or tuple of frozensets of positions (stored as a
-    tuple), every position is a natural below MAX_VALUES, and the cells
-    are nonempty, disjoint and cover [0, covered_horizon).
-    """
-
-    cells: tuple[tuple[frozenset[int], ...], ...]
-    width: WidthProfile
-
-    def __post_init__(self):
-        _check_shape(self.width, WidthProfile, "block partition width")
-        blocks = tuple(
-            tuple(_check_shape(b, (list, tuple), "block partition block", items=frozenset))
-            for b in _as_tuple(self.cells, "block partition cells")
-        )
-        object.__setattr__(self, "cells", blocks)
-        cells = [cell for block in self.cells for cell in block]
-        positions = [x for cell in cells for x in cell]
-        _check_naturals(positions, "block partition positions")
-        top = max(positions, default=-1)
-        if top >= MAX_VALUES:
-            raise MalformedInput(f"block partition positions must be below {MAX_VALUES}")
-        if not all(cells) or not len(set(positions)) == len(positions) == top + 1:
-            raise MalformedInput(
-                f"block partition cells must be nonempty, disjoint and cover [0, {top + 1})"
-            )
-
-    @property
-    def covered_horizon(self) -> int:
-        """The number of positions, which the cells cover [0, covered_horizon) with."""
-        return sum(len(cell) for block in self.cells for cell in block)
-
-    @property
-    def block_count(self) -> int:
-        return len(self.cells)
-
-    def block(self, n: int) -> frozenset[int]:
-        """J_n, the union of the block's cells."""
-        return frozenset().union(*self.cells[n])
+def _block_bounds(width: WidthProfile, what: str) -> list[int]:
+    """0 and the end of each block J_n, the h(n) positions that follow J_{n-1}."""
+    bounds = list(itertools.accumulate(_check_shape(width, WidthProfile, what).widths, initial=0))
+    if bounds[-1] > MAX_VALUES:
+        raise MalformedInput(f"{what} needs {bounds[-1]} positions, over {MAX_VALUES}")
+    return bounds
 
 
 @dataclass(frozen=True)
 class BlockSlalom:
-    """Per block n, at most h(n) partial functions with domain J_n."""
+    """Per block n, at most h(n) codes, each the h(n) values of a function
+    on J_n.
 
-    entries: tuple[tuple[dict[int, int], ...], ...]
+    Checked when built: the entries come from any iterable, one per block,
+    each a list or tuple of codes, and each code a list or tuple of h(n)
+    naturals (a wrong count or length is ShapeMismatch); all are stored as
+    tuples.  The blocks span at most MAX_VALUES positions.
+    """
+
+    entries: tuple[tuple[tuple[int, ...], ...], ...]
     width: WidthProfile
 
     def __post_init__(self):
-        _check_shape(self.width, WidthProfile, "block slalom width")
-        object.__setattr__(self, "entries", _as_tuple(self.entries, "block slalom entries"))
-        for entry in self.entries:
-            _check_shape(entry, (list, tuple), "block slalom entry", items=dict)
+        _block_bounds(self.width, "block slalom width")
+        entries = tuple(
+            tuple(_check_shape(entry, (list, tuple), "block slalom entry"))
+            for entry in _as_tuple(self.entries, "block slalom entries")
+        )
+        if len(entries) != self.width.horizon:
+            raise ShapeMismatch(f"{len(entries)} entries for {self.width.horizon} blocks")
+        for n, (h_n, entry) in enumerate(zip(self.width.widths, entries)):
+            if len(entry) > h_n:
+                raise ShapeMismatch(f"block {n} has {len(entry)} codes, width is {h_n}")
+            for code in entry:
+                if len(_check_shape(code, (list, tuple), "block slalom code")) != h_n:
+                    raise ShapeMismatch(f"block {n} has a code of {len(code)} values, width is {h_n}")
+        entries = tuple(tuple(map(tuple, entry)) for entry in entries)
+        _check_naturals([v for entry in entries for code in entry for v in code], "block slalom codes")
+        object.__setattr__(self, "entries", entries)
 
-    def __getitem__(self, n: int) -> tuple[dict[int, int], ...]:
+    def __getitem__(self, n: int) -> tuple[tuple[int, ...], ...]:
         return self.entries[n]
 
 
-def block_partition(width: WidthProfile, block_count: int, cell_size: int = 1) -> BlockPartition:
-    """Assign cells consecutively: block n gets h(n) cells of cell_size
-    positions each.  Singleton cells (the default) are the canonical choice;
-    cell_size > 1 gives interval cells."""
-    _check_shape(width, WidthProfile, "block partition width")
-    _check_naturals((block_count, cell_size), "block count and cell size")
-    if block_count > width.horizon:
-        raise MalformedInput(
-            f"width profile covers {width.horizon} blocks, {block_count} requested"
-        )
-    if cell_size < 1:
-        raise MalformedInput("cell_size must be >= 1")
-    widths = width.widths[:block_count]
-    if 0 in widths:
-        raise ZeroWidth(f"h({widths.index(0)}) = 0; blocks need width >= 1")
-    positions = cell_size * sum(widths)
-    if positions > MAX_VALUES:
-        raise MalformedInput(f"block partition needs {positions} positions, over {MAX_VALUES}")
-    cells = []
-    pos = 0
-    for h_n in widths:
-        stop = pos + h_n * cell_size
-        cells.append(tuple(frozenset(range(x, x + cell_size)) for x in range(pos, stop, cell_size)))
-        pos = stop
-    return BlockPartition(tuple(cells), width)
-
-
-def block_encode(f: FinFunc, partition: BlockPartition) -> tuple[dict[int, int], ...]:
-    """Per block n, f restricted to J_n."""
+def block_encode(f: FinFunc, width: WidthProfile) -> tuple[tuple[int, ...], ...]:
+    """Per block n, the values of f on J_n."""
     _check_shape(f, FinFunc, "block encode function")
-    _check_shape(partition, BlockPartition, "block partition")
-    if f.horizon < partition.covered_horizon:
-        raise HorizonTooShort(
-            f"horizon {f.horizon} < covered horizon {partition.covered_horizon}"
-        )
-    return tuple(
-        {x: f[x] for x in sorted(partition.block(n))}
-        for n in range(partition.block_count)
-    )
+    bounds = _block_bounds(width, "block encode width")
+    if f.horizon < bounds[-1]:
+        raise HorizonTooShort(f"horizon {f.horizon} < {bounds[-1]} block positions")
+    return tuple(f.values[start:end] for start, end in zip(bounds, bounds[1:]))
 
 
-def weave(block_slalom: BlockSlalom, partition: BlockPartition) -> FinFunc:
-    """Glue g(x) = w^n_k(x) for x in J_{n,k} into a single function.
-
-    The k-th member of each block entry supplies the values on the
-    block's k-th cell, and a cell past the entry's last member stays 0;
-    disjoint covering makes g total on [0, covered_horizon).
-    """
+def weave(block_slalom: BlockSlalom) -> FinFunc:
+    """g at the k-th position of J_n is the k-th code's value there, or 0
+    past the entry's last code."""
     _check_shape(block_slalom, BlockSlalom, "block slalom")
-    _check_shape(partition, BlockPartition, "block partition")
-    if block_slalom.width.widths[: partition.block_count] != partition.width.widths[: partition.block_count]:
-        raise ShapeMismatch("block slalom and partition disagree on widths")
-    if len(block_slalom.entries) != partition.block_count:
-        raise ShapeMismatch(
-            f"{len(block_slalom.entries)} entries for {partition.block_count} blocks"
-        )
-    out = [0] * partition.covered_horizon
-    for n in range(partition.block_count):
-        entry = block_slalom[n]
-        h_n = partition.width[n]
-        if len(entry) > h_n:
-            raise ShapeMismatch(f"block {n} has {len(entry)} members, width is {h_n}")
-        block = partition.block(n)
-        for w in entry:
-            if set(w) != block:
-                raise ShapeMismatch(f"block {n} member domain is not J_{n}")
-        for w, cell in zip(entry, partition.cells[n]):
-            for x in cell:
-                out[x] = w[x]
-    return FinFunc(tuple(out))
-
+    out = []
+    for h_n, entry in zip(block_slalom.width.widths, block_slalom.entries):
+        out += [code[k] for k, code in enumerate(entry)] + [0] * (h_n - len(entry))
+    return _unchecked(FinFunc, values=tuple(out))  # values of checked codes, and zeros

@@ -39,7 +39,7 @@ MORPHISMS = (
     (EQ, IN, singleton_slalom, None, "f = g on [k, N) => f in singleton_slalom(g) on [k, N)"),
     (IN, LEQ, slalom_dominator, None, "f in sigma on [k, N) => f <= max(sigma) on [k, N)"),
     (LEQ, NEQ, FinFunc.successor, None, "f <= z on [k, N) => f != z + 1 on [k, N)"),
-    (IN, NEQ[::-1], weave, block_encode, "block_encode(f)[n] is member j of S[n] => f = weave(S) on some x in J_{n,j}"),
+    (IN, NEQ[::-1], weave, block_encode, "block_encode(f, S.width)[n] is code j of S[n] => f = weave(S) at the j-th position of J_n"),
     (LEQ, LEQ[::-1], FinFunc.successor, None, "g <= z on [k, N) => z + 1 <= g fails at every n in [k, N)"),
 )
 # Each arrow a -> b, the inclusion of a in b, mapped to its morphism row: the
@@ -137,7 +137,7 @@ class DiagramState:
         object.__setattr__(self, "classes", classes)
         # membership only, so no member of another type is compared or hashed
         seen = [node for cls in classes for node in cls]
-        if len(seen) != len(REGION_NODES) or not all(node in seen for node in REGION_NODES):
+        if not all(classes) or len(seen) != len(REGION_NODES) or not all(node in seen for node in REGION_NODES):
             raise MalformedInput("classes must partition the seven region nodes")
         separators = tuple(_check_shape(self.separators, (list, tuple), "diagram separators"))
         if len(separators) != len(classes) - 1:

@@ -21,16 +21,12 @@ class EmptyFamily(CichonError):
     """An operation requiring at least one family member got none."""
 
 
-class ZeroWidth(CichonError):
-    """A block construction needs width >= 1 at every block index."""
-
-
 class HorizonTooShort(CichonError):
-    """The input does not cover the positions of the block partition."""
+    """The input does not cover the positions of the blocks."""
 
 
 class ShapeMismatch(CichonError):
-    """Block data does not agree with the partition's widths or cells."""
+    """Block data does not agree with its width profile."""
 
 
 class KindMismatch(CichonError):

@@ -18,8 +18,7 @@ from cichon import (
     LocCond,
     ProductCond,
     Slalom,
-    WidthProfile,
-    block_partition,
+    block_encode,
     enumerate_cuts,
     family_dominator,
     family_slalom,
@@ -53,6 +52,7 @@ from conftest import (
     make_loc,
     make_sacks,
     make_slalom,
+    make_width,
     prune_tree,
     strengthen_cohen,
     strengthen_e,
@@ -200,15 +200,16 @@ def tukey_law(r, s, plus, x, y):
             yield not any(HOLDS[s[::-1]](image[n], x[n]) for n in range(k, x.horizon))
 
 
-def block_law(encode, glue, f, sigma, partition):
-    """Where encode(f)[n] is member j of S[n], padded with constant-0
-    members, glue(S) meets f on J_{n,j}: one verdict per such member."""
-    code, g = encode(f, partition), glue(sigma, partition)
-    for n, cells in enumerate(partition.cells):
-        padded = [*sigma[n], *[dict.fromkeys(code[n], 0)] * (len(cells) - len(sigma[n]))]
-        for member, cell in zip(padded, cells):
-            if member == code[n]:
-                yield any(g[x] == f[x] for x in cell)
+def block_law(encode, glue, f, sigma):
+    """Where encode(f, S.width)[n] is code j of S[n], padded with constant-0
+    codes, glue(S) meets f at the j-th position of J_n: one verdict per such code."""
+    code, g = encode(f, sigma.width), glue(sigma)
+    start = 0
+    for h, entry, own in zip(sigma.width.widths, sigma.entries, code):
+        for j, member in enumerate([*entry, *[(0,) * h] * (h - len(entry))]):
+            if member == own:
+                yield g[start + j] == f[start + j]
+        start += h
 
 
 def edge_instances(rng):
@@ -218,12 +219,7 @@ def edge_instances(rng):
     cases = {
         "pairs": [(f, g) for same in fs for f in same for g in same],
         "captures": [(f, s) for s in identity_slaloms(3, 2) for f in fs[s.horizon]],
-        "blocks": [
-            (f, sigma, p)
-            for p in partitions(3)
-            for sigma in block_slaloms(p, 2)
-            for f in fs[3]
-        ],
+        "blocks": [(f, sigma) for width in partitions(3) for sigma in block_slaloms(width, 2) for f in fs[3]],
     }
     for _ in range(300):
         horizon = rng.randint(0, 64)
@@ -235,18 +231,16 @@ def edge_instances(rng):
         sigma = make_slalom(rng, horizon)
         captured = [min(c) if c and rng.random() < 0.8 else v for c, v in zip(sigma.cells, f.values)]
         cases["captures"].append((FinFunc(captured), sigma))
-        blocks = rng.randint(1, 4)
-        width = WidthProfile(tuple(rng.randint(1, 3) for _ in range(blocks)))
-        p = block_partition(width, blocks, cell_size=rng.randint(1, 2))
-        f = make_finfunc(rng, p.covered_horizon, 8)
+        width = make_width(rng, rng.randint(1, 4), 3)  # zero widths give empty blocks
+        f = make_finfunc(rng, sum(width.widths), 8)
         entries = [
             tuple(
-                {x: f[x] if planted else rng.randrange(8) for x in p.block(n)}
-                for planted in (rng.random() < 0.4 for _ in range(rng.randint(0, width[n])))
+                own if planted else tuple(rng.randrange(8) for _ in own)
+                for planted in (rng.random() < 0.4 for _ in range(rng.randint(0, len(own))))
             )
-            for n in range(blocks)
+            for own in block_encode(f, width)
         ]
-        cases["blocks"].append((f, BlockSlalom(tuple(entries), width), p))
+        cases["blocks"].append((f, BlockSlalom(entries, width)))
     return cases
 
 

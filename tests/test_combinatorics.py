@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import cichon
 from cichon import (
-    BlockPartition,
     BlockSlalom,
     CohenCond,
     DiagramState,
@@ -30,7 +29,6 @@ from cichon import (
     Slalom,
     WidthProfile,
     block_encode,
-    block_partition,
     canonical_enum,
     emit_dot,
     emit_json,
@@ -130,7 +128,6 @@ COHEN_PRODUCT = ProductCond(CohenCond(FinFunc(())), FiniteTree("laver", {()}))
 FOO_TREE = FiniteTree("foo", [()])
 E1 = ECond(F1, Family((), 1))
 W1 = WidthProfile((1,))
-P1 = block_partition(W1, 1)
 # Diagram-state fields refused alike when decoded and when built directly.
 BAD_STATES = {
     "node": {"emptiness": {"Nowhere": "empty"}},
@@ -141,6 +138,8 @@ BAD_STATES = {
     "empty-nonempty": {"emptiness": {"Empty": "nonempty"}},
     "emptiness-number": {"emptiness": 5},
     "classes": {"emptiness": {}, "classes": [["BIn"]]},
+    # all seven nodes and one separator per gap, so only the empty class refuses
+    "empty-class": {"emptiness": {}, "classes": [list(REGION_NODES), []], "separators": ["distinct"]},
     # seven members under valid separators, so only the partition rule refuses
     "classes-duplicate-for-missing": {
         "emptiness": {},
@@ -195,19 +194,13 @@ LIBRARY_REFUSALS = {
     "evading-relation-empty-family": lambda: family_report("leq", F1, Family((), 1), "evading"),
     "family-report-family-number": lambda: family_report("leq", FinFunc((1, 2, 3)), 5, "bounding"),
     "family-report-family-list": lambda: family_report("leq", FinFunc((1, 2, 3)), [F1], "bounding"),
-    "too-many-blocks": lambda: block_partition(WidthProfile((1,)), 2),
-    "cell-size": lambda: block_partition(WidthProfile((1,)), 1, cell_size=0),
-    "block-count-string": lambda: block_partition(W1, "x"),
-    "block-count-negative": lambda: block_partition(W1, -1),
-    "cell-size-string": lambda: block_partition(W1, 1, cell_size="x"),
-    "block-partition-huge-width": lambda: block_partition(WidthProfile((10**12,)), 1),
+    "block-slalom-huge-width": lambda: BlockSlalom(((),), WidthProfile((10**12,))),
     "fusion-index": lambda: fusion_leq("sacks", TREE, TREE, -1),
     "fusion-index-string": lambda: fusion_leq("sacks", TREE, TREE, "x"),
     "splitting-level-string": lambda: splitting_nodes(TREE, "x"),
     "reduce-e-start-string": lambda: reduce_e(E1, "x"),
     "reduce-e-negative-start": lambda: reduce_e(E1, -3),
-    "weave-widths": lambda: weave(BlockSlalom(((),), WidthProfile((2,))), block_partition(W1, 1)),
-    "weave-entry-count": lambda: weave(BlockSlalom((), W1), block_partition(W1, 1)),
+    "weave-entry-count": lambda: weave(BlockSlalom((), W1)),
     "family-member-list": lambda: Family([[1]], 1),
     "container-finfunc-none": lambda: FinFunc(None),
     "container-width-profile-number": lambda: WidthProfile(5),
@@ -223,27 +216,11 @@ LIBRARY_REFUSALS = {
     "loc-side-list": lambda: LocCond(Slalom.identity_width([()]), [[1]]),
     "threshold-argument-list": lambda: least_threshold("leq", [1], FinFunc((1,))),
     "slalom-width-list": lambda: Slalom([[1]], [1]),
-    "block-partition-width-list": lambda: block_partition([1], 1),
-    "block-slalom-width-list": lambda: weave(BlockSlalom(((),), [1]), block_partition(W1, 1)),
-    "container-block-slalom-none": lambda: weave(BlockSlalom(None, W1), P1),
-    "container-block-slalom-entry-number": lambda: weave(BlockSlalom((5,), W1), P1),
-    "block-slalom-member-number": lambda: weave(BlockSlalom(((5,),), W1), P1),
+    "block-slalom-width-list": lambda: BlockSlalom(((),), [1]),
+    "container-block-slalom-none": lambda: BlockSlalom(None, W1),
+    "container-block-slalom-entry-number": lambda: BlockSlalom((5,), W1),
+    "block-slalom-member-number": lambda: BlockSlalom(((5,),), W1),
     "container-slalom-cell-number": lambda: Slalom([5], W1),
-    # a hand-built partition whose one cell reaches past the input's horizon
-    "far-partition-encode": lambda: block_encode(F1, BlockPartition(((frozenset(range(6)),),), W1)),
-    # hand-built partitions with junk fields, and one past MAX_VALUES positions
-    "container-block-partition-cells-none": lambda: block_encode(F1, BlockPartition(None, W1)),
-    "container-block-partition-block-number": lambda: block_encode(F1, BlockPartition((5,), W1)),
-    "block-partition-cell-number": lambda: block_encode(F1, BlockPartition(((5,),), W1)),
-    "block-partition-position-string": lambda: block_encode(
-        F1, BlockPartition(((frozenset({"a"}),),), W1)
-    ),
-    "block-partition-position-past-max-values": lambda: weave(
-        BlockSlalom(((),), W1), BlockPartition(((frozenset({0, MAX_VALUES}),),), W1)
-    ),
-    "block-partition-class-width-list": lambda: weave(
-        BlockSlalom(((),), W1), BlockPartition((), [1])
-    ),
     "family-dominator-list": lambda: family_dominator([[1]]),
     "least-avoider-list": lambda: least_avoider([[1]]),
     "family-slalom-list": lambda: family_slalom([[1]]),
@@ -251,10 +228,9 @@ LIBRARY_REFUSALS = {
     "slalom-dominator-list": lambda: slalom_dominator([[1]]),
     "sum-evader-bound-list": lambda: sum_evader_bound([[1]]),
     "singleton-slalom-list": lambda: singleton_slalom([1]),
-    "block-encode-function-list": lambda: block_encode([1], P1),
-    "block-encode-partition-list": lambda: block_encode(F1, [1]),
-    "weave-block-slalom-list": lambda: weave([[]], P1),
-    "weave-partition-list": lambda: weave(BlockSlalom(((),), W1), [1]),
+    "block-encode-function-list": lambda: block_encode([1], W1),
+    "block-encode-width-list": lambda: block_encode(F1, [1]),
+    "weave-block-slalom-list": lambda: weave([[]]),
     "validate-not-a-condition": lambda: validate([1]),
     "condition-to-obj-number": lambda: condition_to_obj(5),
     "unknown-poset-kind": lambda: leq("foo", TREE, TREE),
@@ -332,30 +308,12 @@ REFUSAL_MESSAGES = {
     "diagram-state-from-obj-list": "diagram state must be a dict, got list",
     "tree-entry-past-max-natural": "laver node entries must be below 10**4000 in magnitude",
     **{
-        f"state-classes-{name}{decoded}": PARTITION
-        for name in ("duplicate-for-missing", "extra-duplicate")
+        f"state-{name}{decoded}": PARTITION
+        for name in ("classes-duplicate-for-missing", "classes-extra-duplicate", "empty-class")
         for decoded in ("", "-decoded")
     },
-    "container-block-partition-cells-none": (
-        "block partition cells must be a list or tuple, got NoneType"
-    ),
-    "container-block-partition-block-number": (
-        "block partition block must be a list or tuple, got int"
-    ),
-    "block-partition-cell-number": "block partition block must hold only frozensets",
-    "far-partition-encode": "horizon 1 < covered horizon 6",
-    "block-partition-position-string": (
-        "block partition positions must be natural numbers, got 'a'"
-    ),
-    "block-partition-position-past-max-values": (
-        "block partition positions must be below 1000000"
-    ),
-    "block-partition-class-width-list": (
-        "block partition width must be a WidthProfile, got list"
-    ),
-    "block-partition-huge-width": (
-        "block partition needs 1000000000000 positions, over 1000000"
-    ),
+    "block-slalom-huge-width": "block slalom width needs 1000000000000 positions, over 1000000",
+    "block-slalom-member-number": "block slalom code must be a list or tuple, got int",
     "width-identity-string": "identity width horizon must be natural numbers, got '3'",
     "width-identity-bool": "identity width horizon must be natural numbers, got True",
     "width-identity-huge": f"identity width horizon {2**70} exceeds 1000000",
@@ -744,23 +702,23 @@ def test_package_exports_only_classes_and_functions():
         assert isinstance(value, type) or inspect.isfunction(value), name
     dropped = {"compose_profiles", "parity_map", "BitstringFunc", "index_of", "string_of"}
     dropped |= {"length_range", "string_encode", "evasion_target"}
+    dropped |= {"BlockPartition", "block_partition", "ZeroWidth"}
     assert dropped.isdisjoint(cichon.__all__)
-    assert {"FinFunc", "leq", "block_partition", "reduce_e", "enumerate_cuts"} <= set(cichon.__all__)
+    assert {"FinFunc", "leq", "block_encode", "reduce_e", "enumerate_cuts"} <= set(cichon.__all__)
 
 
 F3 = FinFunc((1, 2, 3))
 FAM = Family((F3, FinFunc((0, 2, 5))), 3)
 SIGMA = Slalom.identity_width([(), (1,), (0, 2)])
 W12 = WidthProfile((1, 2))
-P12 = block_partition(W12, 2)
+B12 = BlockSlalom((((1,),), ((2, 3),)), W12)
 SACKS = FiniteTree("sacks", {(), (0,), (1,)})
 LAVER = FiniteTree("laver", {(), (0,), (3,)})
 STATE = DiagramState({"AllNew": "nonempty"}, (REGION_NODES,), (), "a citation")
 LOC4 = LocCond(Slalom.identity_width([(), (2,)]), Family((FinFunc((1, 1, 1, 1)),), 4))
 # Valid arguments for every public callable.
 VALID_CALLS = {
-    "BlockPartition": (P12.cells, W12),
-    "BlockSlalom": ((({0: 1},), ({1: 2, 2: 3},)), W12),
+    "BlockSlalom": (B12.entries, W12),
     "CohenCond": (F3,),
     "Contradiction": ("DIn", ("BIn", "BLeq", "BNeq", "DIn")),
     "Cut": (frozenset({"AllNew"}), "cohen"),
@@ -776,8 +734,7 @@ VALID_CALLS = {
     "Slalom": (SIGMA.cells, SIGMA.width),
     "ThresholdReport": (1, False),
     "WidthProfile": ((1, 2),),
-    "block_encode": (F3, P12),
-    "block_partition": (W12, 2, 1),
+    "block_encode": (F3, W12),
     "canonical_enum": (LAVER,),
     "emit_dot": (STATE,),
     "emit_json": (STATE,),
@@ -804,7 +761,7 @@ VALID_CALLS = {
     "splitting_nodes": (SACKS, 1),
     "sum_evader_bound": (SIGMA,),
     "validate": (LOC4,),
-    "weave": (BlockSlalom((({0: 1},), ({1: 2, 2: 3},)), W12), P12),
+    "weave": (B12,),
 }
 JUNK = (None, -1, 0, True, "x", "", [], {}, (), 1.5, float("nan"), frozenset(), b"", [[1]], {"x": 1}, object())
 

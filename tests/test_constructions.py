@@ -1,19 +1,18 @@
-"""Constructive witnesses: frozen examples plus the inclusion analogues
-and the two block-construction laws, checked by brute force."""
+"""Constructive witnesses: frozen examples plus the inclusion analogues,
+and the blocks that follow from a width profile with the weave law,
+checked by brute force."""
 
 import itertools
 
 import pytest
 
 from cichon import (
-    BlockPartition,
     BlockSlalom,
     Family,
     FinFunc,
     Slalom,
     WidthProfile,
     block_encode,
-    block_partition,
     family_dominator,
     family_slalom,
     hit_count,
@@ -26,14 +25,8 @@ from cichon import (
     weave,
 )
 from cichon.combinatorics import MAX_VALUES
-from cichon.errors import (
-    EmptyFamily,
-    HorizonTooShort,
-    MalformedInput,
-    ShapeMismatch,
-    ZeroWidth,
-)
-from conftest import make_family, make_finfunc, make_slalom
+from cichon.errors import EmptyFamily, HorizonTooShort, MalformedInput, ShapeMismatch
+from conftest import make_family, make_finfunc, make_slalom, make_width
 
 
 def S(*cells):
@@ -242,169 +235,120 @@ def test_domination_kills_successor_hits(rng):
 # Block machinery
 
 
-def test_block_partition_example():
-    p = block_partition(WidthProfile((1, 2, 3)), 3)
-    listed = BlockPartition([list(block) for block in p.cells], p.width)
-    assert listed == p and hash(listed) == hash(p)
-    assert p.cells[0] == (frozenset({0}),)
-    assert p.cells[1] == (frozenset({1}), frozenset({2}))
-    assert p.cells[2] == (frozenset({3}), frozenset({4}), frozenset({5}))
-    assert p.covered_horizon == 6
-
-
-def test_block_partition_single():
-    p = block_partition(WidthProfile((1,)), 1)
-    assert p.cells == ((frozenset({0}),),)
-    assert block_partition(WidthProfile((1,)), 0).covered_horizon == 0
-    # a hand-built partition may reach, not pass, MAX_VALUES positions
-    last = BlockPartition(((frozenset(range(MAX_VALUES)),),), WidthProfile((1,)))
-    assert last.covered_horizon == MAX_VALUES
-
-
-@pytest.mark.parametrize(
-    "cells, width, horizon",
-    [
-        # weave would keep only the last member's value at position 0
-        (((frozenset({0}), frozenset({0})),), (2,), 1),
-        # as many positions as the horizon, one repeated and one missing
-        (((frozenset({0}), frozenset({0, 2})),), (2,), 3),
-        (((frozenset({0}), frozenset()),), (2,), 1),
-        # weave would read position 0 as 0
-        (((frozenset({1}),),), (1,), 2),
-        (((frozenset({0}),), (frozenset({3}),)), (1, 1), 4),
-    ],
-    ids=["overlapping", "overlapping-and-uncovered", "empty-cell", "uncovered-0", "uncovered-gap"],
-)
-def test_block_partition_refuses_cells_that_do_not_partition(cells, width, horizon):
-    message = f"block partition cells must be nonempty, disjoint and cover [0, {horizon})"
-    with pytest.raises(MalformedInput) as refusal:
-        BlockPartition(cells, WidthProfile(width))
-    assert str(refusal.value) == message
-
-
-def test_block_partition_zero_width():
-    with pytest.raises(ZeroWidth, match=r"^h\(1\) = 0; blocks need width >= 1$"):
-        block_partition(WidthProfile((1, 0)), 2)
-
-
-def test_block_partition_intervals():
-    p = block_partition(WidthProfile((2, 1)), 2, cell_size=3)
-    assert p.cells[0] == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
-    assert p.cells[1] == (frozenset({6, 7, 8}),)
-    assert p.covered_horizon == 9
-
-
 def test_block_encode():
-    p = block_partition(WidthProfile((1, 2, 3)), 3)
+    """J_n is the h(n) positions after J_{n-1}; a zero width is an empty block."""
     f = FinFunc((9, 8, 7, 6, 5, 4))
-    encoded = block_encode(f, p)
-    assert encoded[1] == {1: 8, 2: 7}
-    assert encoded[0] == {0: 9}
-    glued = {}
-    for entry in encoded:
-        glued.update(entry)
-    assert [glued[x] for x in range(p.covered_horizon)] == list(f.values)
+    assert block_encode(f, WidthProfile((1, 2, 3))) == ((9,), (8, 7), (6, 5, 4))
+    assert block_encode(f, WidthProfile((0, 2, 0, 1))) == ((), (9, 8), (), (7,))
+    assert block_encode(f, WidthProfile(())) == ()
+    encoded = block_encode(f, WidthProfile((2, 1, 3)))
+    assert tuple(v for code in encoded for v in code) == f.values
 
 
 def test_block_encode_short_horizon():
-    p = block_partition(WidthProfile((1, 2)), 2)
-    with pytest.raises(HorizonTooShort):
-        block_encode(FinFunc((1, 2)), p)
+    with pytest.raises(HorizonTooShort, match=r"^horizon 2 < 3 block positions$"):
+        block_encode(FinFunc((1, 2)), WidthProfile((1, 2)))
+
+
+def test_zero_width_block_is_empty():
+    """A block of width 0 encodes as (), holds no code and weaves nothing."""
+    width = WidthProfile((1, 0, 1))
+    assert block_encode(FinFunc((4, 6)), width) == ((4,), (), (6,))
+    assert weave(BlockSlalom((((5,),), (), ((7,),)), width)).values == (5, 7)
+    assert weave(BlockSlalom(((),), WidthProfile((0,)))).values == ()
+    with pytest.raises(ShapeMismatch, match=r"^block 0 has 1 codes, width is 0$"):
+        BlockSlalom((((),),), WidthProfile((0,)))
+
+
+def test_blocks_reach_but_do_not_pass_max_values():
+    width = WidthProfile((MAX_VALUES - 1, 1))
+    f = FinFunc((0,) * (MAX_VALUES + 1))
+    assert tuple(map(len, block_encode(f, width))) == (MAX_VALUES - 1, 1)
+    assert weave(BlockSlalom(((), ()), width)).horizon == MAX_VALUES
+    over = WidthProfile((MAX_VALUES, 1))
+    with pytest.raises(MalformedInput, match=r"^block encode width needs 1000001 positions, over 1000000$"):
+        block_encode(f, over)
+    with pytest.raises(MalformedInput, match=r"^block slalom width needs 1000001 positions, over 1000000$"):
+        BlockSlalom(((), ()), over)
+
+
+def test_block_slalom_stores_tuples():
+    """Entries from any iterable, and codes given as lists, are stored as
+    tuples, so equal slaloms compare and hash alike; code values are naturals."""
+    width = WidthProfile((1, 2))
+    listed = BlockSlalom([[[5]], [[8, 7], [3, 2]]], width)
+    assert listed == BlockSlalom(iter((((5,),), ((8, 7), (3, 2)))), width)
+    assert hash(listed) == hash(BlockSlalom((((5,),), ((8, 7), (3, 2))), width))
+    assert listed[1] == ((8, 7), (3, 2))
+    with pytest.raises(MalformedInput, match=r"^block slalom codes must be natural numbers, got -1$"):
+        BlockSlalom((((-1,),), ()), width)
 
 
 def test_weave_example():
-    width = WidthProfile((1, 2))
-    p = block_partition(width, 2)
-    sigma = BlockSlalom(
-        (
-            ({0: 5},),
-            ({1: 8, 2: 7}, {1: 3, 2: 2}),
-        ),
-        width,
-    )
-    g = weave(sigma, p)
-    assert g[1] == 8
-    assert g[2] == 2
+    """The diagonal: the k-th code of entry n gives the k-th position of J_n."""
+    sigma = BlockSlalom((((5,),), ((8, 7), (3, 2))), WidthProfile((1, 2)))
+    assert weave(sigma) == FinFunc((5, 8, 2))
 
 
 def test_weave_pads_with_zero():
     width = WidthProfile((2,))
-    p = block_partition(width, 1)
-    sigma = BlockSlalom(((),), width)
-    assert weave(sigma, p).values == (0, 0)
+    assert weave(BlockSlalom(((),), width)).values == (0, 0)
+    assert weave(BlockSlalom((((4, 5),),), width)).values == (4, 0)
 
 
 def test_weave_matches_definition(rng):
-    """For x in J_{n,k}, g(x) = entry[k][x] if the block entry has a k-th
-    member and 0 otherwise, on partially filled blocks too."""
+    """At the k-th position of J_n, g is entry n's k-th code there if the
+    entry has a k-th code and 0 otherwise, on partially filled blocks too."""
     for _ in range(300):
-        blocks = rng.randint(1, 4)
-        width = WidthProfile(tuple(rng.randint(1, 3) for _ in range(blocks)))
-        p = block_partition(width, blocks, cell_size=rng.randint(1, 2))
+        width = make_width(rng, rng.randint(1, 4), 3)
         entries = tuple(
-            tuple(
-                {x: rng.randint(1, 9) for x in p.block(n)}
-                for _ in range(rng.randint(0, width[n]))
-            )
-            for n in range(blocks)
+            tuple(tuple(rng.randint(1, 9) for _ in range(h)) for _ in range(rng.randint(0, h)))
+            for h in width.widths
         )
-        g = weave(BlockSlalom(entries, width), p)
-        expected = {}
-        for n, cells in enumerate(p.cells):
-            for k, cell in enumerate(cells):
-                for x in cell:
-                    expected[x] = entries[n][k][x] if k < len(entries[n]) else 0
-        assert g.values == tuple(expected[x] for x in range(p.covered_horizon))
+        expected = [
+            entry[k][k] if k < len(entry) else 0
+            for h, entry in zip(width.widths, entries)
+            for k in range(h)
+        ]
+        assert weave(BlockSlalom(entries, width)).values == tuple(expected)
 
 
 def test_weave_shape_errors():
-    width = WidthProfile((1,))
-    p = block_partition(width, 1)
-    over = BlockSlalom((({0: 1}, {0: 2}),), width)
-    with pytest.raises(ShapeMismatch):
-        weave(over, p)
-    bad_domain = BlockSlalom((({5: 1},),), width)
-    with pytest.raises(ShapeMismatch):
-        weave(bad_domain, p)
+    """A block slalom that weave could not read is refused when it is built."""
+    width = WidthProfile((1, 2))
+    with pytest.raises(ShapeMismatch, match=r"^block 0 has 2 codes, width is 1$"):
+        BlockSlalom((((1,), (2,)), ()), width)
+    with pytest.raises(ShapeMismatch, match=r"^block 1 has a code of 1 values, width is 2$"):
+        BlockSlalom(((), ((1, 2), (3,))), width)
+    with pytest.raises(ShapeMismatch, match=r"^1 entries for 2 blocks$"):
+        BlockSlalom(((),), width)
+    with pytest.raises(ShapeMismatch, match=r"^3 entries for 2 blocks$"):
+        BlockSlalom(((), (), ()), width)
 
 
-def weave_agreement_holds(f, sigma, partition):
-    """The weave-agreement law: a block entry equal to f's restriction
-    forces agreement inside the matching cell."""
-    g = weave(sigma, partition)
-    encoded = block_encode(f, partition)
-    for n in range(partition.block_count):
-        block_positions = sorted(partition.block(n))
-        zero = {x: 0 for x in block_positions}
-        entry = list(sigma[n]) + [zero] * (partition.width[n] - len(sigma[n]))
-        for k, member in enumerate(entry):
-            if member == encoded[n]:
-                cell = partition.cells[n][k]
-                if not any(g[x] == f[x] for x in cell):
-                    return False
+def weave_agreement_holds(f, sigma):
+    """The weave-agreement law: code k of entry n equal to f on J_n, the
+    missing codes counted as constant 0, forces g = f at J_n's k-th position."""
+    g = weave(sigma)
+    start = 0
+    for h, entry, own in zip(sigma.width.widths, sigma.entries, block_encode(f, sigma.width)):
+        for k, code in enumerate(entry + ((0,) * h,) * (h - len(entry))):
+            if code == own and g[start + k] != f[start + k]:
+                return False
+        start += h
     return True
 
 
 def test_weave_agreement_planted(rng):
     """Dedicated run with planted matches so the hypothesis is exercised."""
+    matched = False
     for _ in range(200):
-        blocks = rng.randint(1, 4)
-        width = WidthProfile(tuple(rng.randint(1, 3) for _ in range(blocks)))
-        p = block_partition(width, blocks, cell_size=rng.randint(1, 2))
-        f = make_finfunc(rng, p.covered_horizon, 8)
+        width = make_width(rng, rng.randint(1, 4), 3)
+        f = make_finfunc(rng, sum(width.widths), 8)
         entries = []
-        matched = False
-        for n in range(blocks):
-            block_positions = sorted(p.block(n))
-            members = []
-            for _ in range(rng.randint(0, width[n])):
-                if rng.random() < 0.5:
-                    members.append({x: f[x] for x in block_positions})
-                    matched = True
-                else:
-                    members.append({x: rng.randrange(8) for x in block_positions})
-            entries.append(tuple(members))
-        sigma = BlockSlalom(tuple(entries), width)
-        assert weave_agreement_holds(f, sigma, p)
+        for own in block_encode(f, width):
+            planted = [rng.random() < 0.5 for _ in range(rng.randint(0, len(own)))]
+            matched = matched or any(planted)
+            entries.append(tuple(own if p else tuple(rng.randrange(8) for _ in own) for p in planted))
+        assert weave_agreement_holds(f, BlockSlalom(entries, width))
     assert matched
-

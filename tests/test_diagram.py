@@ -1,6 +1,7 @@
 """Diagram shape, propagation, cut enumeration against brute force, the
 knowledge base region-for-region, and rendering."""
 
+import inspect
 import itertools
 import json
 import os
@@ -126,7 +127,7 @@ def test_diagram_shape():
 def test_five_morphisms_give_the_nine_arrows():
     """Each row R -> S gives B(R) -> B(S) and D(S) -> D(R): nine distinct
     arrows from five rows, the self-dual row giving one arrow twice; their
-    order in EDGES is the one HECHLER_DOT pins."""
+    order in EDGES is the one HECHLER_DOT pins.  Every phi+ is unary."""
     arrows = [((r[0], s[0]), (s[1], r[1])) for r, s, *_ in MORPHISMS]
     assert len(MORPHISMS) == 5
     assert len({arrow for pair in arrows for arrow in pair}) == 9
@@ -135,6 +136,8 @@ def test_five_morphisms_give_the_nine_arrows():
     assert EDGES["Empty", "BIn"] is EDGES["DIn", "AllNew"]
     for *_, plus, minus, link in MORPHISMS:
         assert callable(plus) and (minus is None or callable(minus))
+        # phi+ takes y alone: the weave reads its blocks from its slalom's width
+        assert len(inspect.signature(plus).parameters) == 1, plus
         assert isinstance(link, str) and link.strip()
 
 

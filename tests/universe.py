@@ -2,11 +2,11 @@
 
 Every function of horizon H with values below V, every family of at most
 k distinct such functions, every identity-width slalom of horizon at most
-H with cell values below V, the block partitions of at most H positions
-with every block slalom over them, and the valid loc, hechler and e
-conditions built from them (stems of horizon at most H, sides of horizon
-H).  Laws that quantify over all conditions are checked here on all of
-them.
+H with cell values below V, the width profiles of positive widths whose
+consecutive blocks cover 1 to H positions with every block slalom over
+them, and the valid loc, hechler and e conditions built from them (stems
+of horizon at most H, sides of horizon H).  Laws that quantify over all
+conditions are checked here on all of them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from cichon import (
     LocCond,
     Slalom,
     WidthProfile,
-    block_partition,
 )
 
 
@@ -68,25 +67,19 @@ def compositions(total):
 
 
 def partitions(horizon):
-    """Consecutive block partitions of at most `horizon` positions, with
-    cells of one size."""
-    return [
-        block_partition(WidthProfile(widths), len(widths), size)
-        for size in range(1, horizon + 1)
-        for total in range(1, horizon // size + 1)
-        for widths in compositions(total)
-    ]
+    """The width profiles of positive widths that cover 1 to `horizon`
+    positions: each is a partition into consecutive blocks."""
+    return [WidthProfile(widths) for total in range(1, horizon + 1) for widths in compositions(total)]
 
 
-def block_slaloms(partition, values):
-    """Every block slalom over the partition: block n holds at most h(n)
-    partial functions on J_n with values below `values`, in order."""
+def block_slaloms(width, values):
+    """Every block slalom over the width: block n holds at most h(n) codes,
+    each h(n) values below `values`, in order."""
     entries = []
-    for n, cells in enumerate(partition.cells):
-        domain = sorted(partition.block(n))
-        members = [dict(zip(domain, v)) for v in product(range(values), repeat=len(domain))]
-        entries.append([e for k in range(len(cells) + 1) for e in product(members, repeat=k)])
-    return [BlockSlalom(chosen, partition.width) for chosen in product(*entries)]
+    for h in width.widths:
+        codes = list(product(range(values), repeat=h))
+        entries.append([e for k in range(h + 1) for e in product(codes, repeat=k)])
+    return [BlockSlalom(chosen, width) for chosen in product(*entries)]
 
 
 def loc_conditions(horizon, values, members):
