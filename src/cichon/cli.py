@@ -135,8 +135,7 @@ def _cmd_cuts(args):
 
 def _cmd_check(args):
     f = comb.FinFunc.from_obj(_load_json(args.f))
-    decode = comb.Slalom.from_obj if args.relation == "in" else comb.FinFunc.from_obj
-    target = decode(_load_json(args.g))
+    target = comb.RELATIONS[args.relation][1].from_obj(_load_json(args.g))
     report = comb.least_threshold(args.relation, f, target)
     holds = not report.vacuous or f.horizon == 0
     payload = {**report.to_obj(), "relation": args.relation, "horizon": f.horizon, "holds": holds}
@@ -257,7 +256,7 @@ _VERBS = {
         "--format": dict(choices=("json",), default="json"),
     }),
     "check": (_cmd_check, "least-threshold check between two objects", {
-        "--relation": dict(choices=comb.RELATIONS, required=True),
+        "--relation": dict(choices=tuple(comb.RELATIONS), required=True),
         "--f": dict(required=True, metavar="FILE"),
         "--g": dict(required=True, metavar="FILE"),
     }),

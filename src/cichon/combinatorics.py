@@ -1,4 +1,4 @@
-"""Finite-horizon reals, slaloms, and the three threshold relations.
+"""Finite-horizon reals, slaloms, and the four threshold relations.
 
 Everything here is a finite prefix of an object from Baire space.  The
 infinitary quantifier "for all but finitely many l" becomes "for all l in
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .errors import HorizonMismatch, MalformedInput
 
-RELATIONS = ("leq", "neq", "in")
 HIT_RELATIONS = ("eq", "in")
 MODES = ("bounding", "evading")
 
@@ -355,18 +354,19 @@ class RelationReport:
         }
 
 
-# relation -> (f, target) -> for each position l < N, whether f(l) rel target(l)
-_POINTWISE = {
-    "leq": lambda f, t: map(operator.le, f.values, t.values),
-    "neq": lambda f, t: map(operator.ne, f.values, t.values),
-    "eq": lambda f, t: map(operator.eq, f.values, t.values),
-    "in": lambda f, t: map(operator.contains, t.cells, f.values),
+# name -> (pointwise test (f, target) -> whether f(l) rel target(l) at each l < N,
+# target class); a name is checked against `tuple(RELATIONS)` before it is hashed.
+RELATIONS = {
+    "eq": (lambda f, t: map(operator.eq, f.values, t.values), FinFunc),
+    "leq": (lambda f, t: map(operator.le, f.values, t.values), FinFunc),
+    "neq": (lambda f, t: map(operator.ne, f.values, t.values), FinFunc),
+    "in": (lambda f, t: map(operator.contains, t.cells, f.values), Slalom),
 }
 
 
 def _check_target(rel: str, f: FinFunc, target):
     _check_shape(f, FinFunc, f"relation {rel!r} function")
-    _check_shape(target, Slalom if rel == "in" else FinFunc, f"relation {rel!r} target")
+    _check_shape(target, RELATIONS[rel][1], f"relation {rel!r} target")
     if f.horizon != target.horizon:
         raise HorizonMismatch(
             f"horizon {f.horizon} vs {target.horizon} for relation {rel!r}"
@@ -379,11 +379,11 @@ def least_threshold(rel: str, f: FinFunc, target) -> ThresholdReport:
     The failure set of tail starts is downward closed, so one past the
     last failing position gives the minimum.
     """
-    if rel not in RELATIONS:
-        raise MalformedInput(f"relation must be one of {RELATIONS}, got {rel!r}")
+    if rel not in tuple(RELATIONS):
+        raise MalformedInput(f"relation must be one of {tuple(RELATIONS)}, got {rel!r}")
     _check_target(rel, f, target)
     n = f.horizon
-    holds = [False, *_POINTWISE[rel](f, target)]  # a sentinel failure at -1
+    holds = [False, *RELATIONS[rel][0](f, target)]  # a sentinel failure at -1
     holds.reverse()
     k = n - holds.index(False)  # one past the last failing position
     return ThresholdReport(threshold=k, vacuous=(k == n))
@@ -394,7 +394,7 @@ def hit_count(rel: str, f: FinFunc, target) -> int:
     if rel not in HIT_RELATIONS:
         raise MalformedInput(f"hit relation must be one of {HIT_RELATIONS}, got {rel!r}")
     _check_target(rel, f, target)
-    return sum(_POINTWISE[rel](f, target))
+    return sum(RELATIONS[rel][0](f, target))
 
 
 def family_report(rel: str, witness, family: Family, mode: str) -> RelationReport:

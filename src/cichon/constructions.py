@@ -148,9 +148,6 @@ class BlockSlalom:
         _check_naturals([v for entry in entries for code in entry for v in code], "block slalom codes")
         object.__setattr__(self, "entries", entries)
 
-    def __getitem__(self, n: int) -> tuple[tuple[int, ...], ...]:
-        return self.entries[n]
-
 
 def block_encode(f: FinFunc, width: WidthProfile) -> tuple[tuple[int, ...], ...]:
     """Per block n, the values of f on J_n."""

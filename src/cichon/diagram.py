@@ -1,8 +1,8 @@
 """The eight-node inclusion diagram: reachability, emptiness propagation,
 cut enumeration, and the forcing knowledge base.
 
-Nodes name the bounding/non-dominating regions of four relations: the
-three threshold relations, and eventual equality, whose regions are the
+Nodes name the bounding/non-dominating regions of the four threshold
+relations of `combinatorics.RELATIONS`; those of eventual equality are the
 always-empty bottom and all new reals.  Arrows are inclusions, so
 nonemptiness flows up the arrows and emptiness flows down; a cut is an
 upward-closed set of nonempty nodes.  The knowledge base records, per
@@ -26,9 +26,10 @@ from .errors import MalformedInput, UnknownForcing
 NODES = ("Empty", "BIn", "BLeq", "BNeq", "DNeq", "DLeq", "DIn", "AllNew")
 REGION_NODES = NODES[1:]
 
-# Each relation R as its node pair (B(R), D(R)), the bounding and the
-# non-dominating region; its dual (x R* y iff not y R x) is the pair reversed.
-EQ, IN, LEQ, NEQ = ("Empty", "AllNew"), ("BIn", "DIn"), ("BLeq", "DLeq"), ("BNeq", "DNeq")
+# Each relation R by its name in `combinatorics.RELATIONS`, as its node pair
+# (B(R), D(R)); its dual "R*" (x R* y iff not y R x) is the pair reversed.
+PAIRS = {"eq": ("Empty", "AllNew"), "in": ("BIn", "DIn"), "leq": ("BLeq", "DLeq"), "neq": ("BNeq", "DNeq")}
+PAIRS |= {f"{name}*": pair[::-1] for name, pair in PAIRS.items()}
 
 # The morphisms (R, S, phi+, phi-, link) of Brendle, Brooke-Taylor, Ng and
 # Nies after Blass: phi-(x) R y => x S phi+(y) (phi- None: the identity), so
@@ -36,15 +37,16 @@ EQ, IN, LEQ, NEQ = ("Empty", "AllNew"), ("BIn", "DIn"), ("BLeq", "DLeq"), ("BNeq
 # [k, N)" meaning at every position from k to the horizon N.  Over a finite
 # ground set G, B(=*) is empty only when two members of G differ on [k, N).
 MORPHISMS = (
-    (EQ, IN, singleton_slalom, None, "f = g on [k, N) => f in singleton_slalom(g) on [k, N)"),
-    (IN, LEQ, slalom_dominator, None, "f in sigma on [k, N) => f <= max(sigma) on [k, N)"),
-    (LEQ, NEQ, FinFunc.successor, None, "f <= z on [k, N) => f != z + 1 on [k, N)"),
-    (IN, NEQ[::-1], weave, block_encode, "block_encode(f, S.width)[n] is code j of S[n] => f = weave(S) at the j-th position of J_n"),
-    (LEQ, LEQ[::-1], FinFunc.successor, None, "g <= z on [k, N) => z + 1 <= g fails at every n in [k, N)"),
+    ("eq", "in", singleton_slalom, None, "f = g on [k, N) => f in singleton_slalom(g) on [k, N)"),
+    ("in", "leq", slalom_dominator, None, "f in sigma on [k, N) => f <= max(sigma) on [k, N)"),
+    ("leq", "neq", FinFunc.successor, None, "f <= z on [k, N) => f != z + 1 on [k, N)"),
+    ("in", "neq*", weave, block_encode, "block_encode(f, S.width)[n] is code j of S[n] => f = weave(S) at the j-th position of J_n"),
+    ("leq", "leq*", FinFunc.successor, None, "g <= z on [k, N) => z + 1 <= g fails at every n in [k, N)"),
 )
 # Each arrow a -> b, the inclusion of a in b, mapped to its morphism row: the
 # B(R) -> B(S) arrows in row order, then the D(S) -> D(R) arrows in reverse.
-EDGES = {(m[0][0], m[1][0]): m for m in MORPHISMS} | {(m[1][1], m[0][1]): m for m in reversed(MORPHISMS)}
+EDGES = {(PAIRS[m[0]][0], PAIRS[m[1]][0]): m for m in MORPHISMS}
+EDGES |= {(PAIRS[m[1]][1], PAIRS[m[0]][1]): m for m in reversed(MORPHISMS)}
 
 EMPTINESS = ("empty", "nonempty", "unknown")
 SEPARATORS = ("distinct", "unknown")

@@ -98,6 +98,24 @@ def test_check_vacuous_fails(tmp_path):
     assert payload["counterexample_position"] == 0
 
 
+def test_check_eq_relation(tmp_path):
+    f = write(tmp_path, "f.json", [1, 2, 3])
+    g = write(tmp_path, "g.json", [0, 2, 3])
+    code, out, _ = invoke(["check", "--relation", "eq", "--f", f, "--g", g])
+    assert code == 0
+    assert json.loads(out)["threshold"] == 1
+
+
+def test_check_eq_vacuous_fails(tmp_path):
+    f = write(tmp_path, "f.json", [1, 2, 3])
+    g = write(tmp_path, "g.json", [0, 2, 4])
+    code, out, _ = invoke(["check", "--relation", "eq", "--f", f, "--g", g])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["vacuous"] is True
+    assert payload["counterexample_position"] == 2
+
+
 def test_check_in_relation(tmp_path):
     f = write(tmp_path, "f.json", [7, 1, 4, 1])
     g = write(
@@ -1275,7 +1293,7 @@ JSON = st.recursive(
 ARGVS = st.one_of(
     st.builds(
         lambda rel: ["check", "--relation", rel, "--f", "{a}", "--g", "{b}"],
-        st.sampled_from(("leq", "neq", "in")),
+        st.sampled_from(("eq", "leq", "neq", "in")),
     ),
     st.builds(
         lambda kind, horizon: ["construct", "--kind", kind, "--family", "{a}"] + horizon,

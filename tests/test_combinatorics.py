@@ -71,6 +71,7 @@ pairs = st.integers(0, 12).flatmap(_equal_length_pair)
 def oracle_threshold(rel, f, target):
     """Independent oracle: scan every tail start with its own predicate."""
     predicates = {
+        "eq": lambda l: f[l] == target[l],
         "leq": lambda l: f[l] <= target[l],
         "neq": lambda l: f[l] != target[l],
         "in": lambda l: f[l] in target[l],
@@ -374,7 +375,7 @@ def test_hit_count_examples():
     assert hit_count("in", FinFunc((0, 0)), sigma) == 0
 
 
-@given(pairs, st.sampled_from(["leq", "neq"]))
+@given(pairs, st.sampled_from(["eq", "leq", "neq"]))
 def test_threshold_matches_oracle(fg, rel):
     f, g = FinFunc(tuple(fg[0])), FinFunc(tuple(fg[1]))
     report = least_threshold(rel, f, g)

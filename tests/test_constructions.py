@@ -279,7 +279,7 @@ def test_block_slalom_stores_tuples():
     listed = BlockSlalom([[[5]], [[8, 7], [3, 2]]], width)
     assert listed == BlockSlalom(iter((((5,),), ((8, 7), (3, 2)))), width)
     assert hash(listed) == hash(BlockSlalom((((5,),), ((8, 7), (3, 2))), width))
-    assert listed[1] == ((8, 7), (3, 2))
+    assert listed.entries[1] == ((8, 7), (3, 2))
     with pytest.raises(MalformedInput, match=r"^block slalom codes must be natural numbers, got -1$"):
         BlockSlalom((((-1,),), ()), width)
 

@@ -25,7 +25,8 @@ from cichon import (
     slalom_dominator,
     weave,
 )
-from cichon.diagram import EDGES, MORPHISMS, NODE_RANK, NODES, REGION_NODES
+from cichon.combinatorics import RELATIONS
+from cichon.diagram import EDGES, MORPHISMS, NODE_RANK, NODES, PAIRS, REGION_NODES
 from cichon.errors import UnknownForcing
 
 EXPECTED_EDGES = {
@@ -127,8 +128,10 @@ def test_diagram_shape():
 def test_five_morphisms_give_the_nine_arrows():
     """Each row R -> S gives B(R) -> B(S) and D(S) -> D(R): nine distinct
     arrows from five rows, the self-dual row giving one arrow twice; their
-    order in EDGES is the one HECHLER_DOT pins.  Every phi+ is unary."""
-    arrows = [((r[0], s[0]), (s[1], r[1])) for r, s, *_ in MORPHISMS]
+    order in EDGES is the one HECHLER_DOT pins.  Every phi+ is unary, and the
+    rows name only the relations of `combinatorics.RELATIONS` and their duals."""
+    assert {name.removesuffix("*") for name in PAIRS} == set(RELATIONS)
+    arrows = [((PAIRS[r][0], PAIRS[s][0]), (PAIRS[s][1], PAIRS[r][1])) for r, s, *_ in MORPHISMS]
     assert len(MORPHISMS) == 5
     assert len({arrow for pair in arrows for arrow in pair}) == 9
     assert [b == d for b, d in arrows] == [False] * 4 + [True]
