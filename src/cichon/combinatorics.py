@@ -63,6 +63,14 @@ def _check_naturals(values, what):
             raise MalformedInput(f"{what} must be natural numbers, got a negative {bits}-bit value")
 
 
+def _check_prefix(horizon, available):
+    """MalformedInput unless `horizon` is a natural number of at most
+    `available` positions: the cut a `prefix` may make."""
+    _check_naturals((horizon,), "prefix horizon")
+    if horizon > available:
+        raise MalformedInput(f"prefix horizon {horizon} exceeds {available}")
+
+
 def _unchecked(cls, **fields):
     """The frozen dataclass `cls` holding `fields` as given, without running
     its `__post_init__`: only for fields sliced or collected from values that
@@ -233,7 +241,9 @@ class Slalom:
         return self.cells[n]
 
     def prefix(self, horizon: int) -> "Slalom":
-        """The first `horizon` cells and widths, sliced without a re-check."""
+        """The first `horizon` cells and widths, sliced without a re-check;
+        `horizon` is a natural number of at most the slalom's."""
+        _check_prefix(horizon, self.horizon)
         width = _unchecked(WidthProfile, widths=self.width.widths[:horizon])
         return _unchecked(Slalom, cells=self.cells[:horizon], width=width)
 
@@ -297,7 +307,8 @@ class Family:
 
     def prefix(self, horizon: int) -> "Family":
         """Each member's first `horizon` values, sliced without a re-check;
-        `horizon` is at most the family's."""
+        `horizon` is a natural number of at most the family's."""
+        _check_prefix(horizon, self.horizon)
         functions = tuple(_unchecked(FinFunc, values=f.values[:horizon]) for f in self)
         return _unchecked(Family, functions=functions, horizon=horizon)
 
@@ -364,12 +375,17 @@ RELATIONS = {
 }
 
 
-def _check_target(rel: str, f: FinFunc, target):
-    _check_shape(f, FinFunc, f"relation {rel!r} function")
+def _check_relation(rel: str):
+    if rel not in tuple(RELATIONS):
+        raise MalformedInput(f"relation must be one of {tuple(RELATIONS)}, got {rel!r}")
+
+
+def _check_target(rel: str, horizon: int, target):
+    """`target` is of `rel`'s target class and has `horizon` positions."""
     _check_shape(target, RELATIONS[rel][1], f"relation {rel!r} target")
-    if f.horizon != target.horizon:
+    if horizon != target.horizon:
         raise HorizonMismatch(
-            f"horizon {f.horizon} vs {target.horizon} for relation {rel!r}"
+            f"horizon {horizon} vs {target.horizon} for relation {rel!r}"
         )
 
 
@@ -379,9 +395,9 @@ def least_threshold(rel: str, f: FinFunc, target) -> ThresholdReport:
     The failure set of tail starts is downward closed, so one past the
     last failing position gives the minimum.
     """
-    if rel not in tuple(RELATIONS):
-        raise MalformedInput(f"relation must be one of {tuple(RELATIONS)}, got {rel!r}")
-    _check_target(rel, f, target)
+    _check_relation(rel)
+    _check_shape(f, FinFunc, f"relation {rel!r} function")
+    _check_target(rel, f.horizon, target)
     n = f.horizon
     holds = [False, *RELATIONS[rel][0](f, target)]  # a sentinel failure at -1
     holds.reverse()
@@ -393,7 +409,8 @@ def hit_count(rel: str, f: FinFunc, target) -> int:
     """Number of positions l < N where f agrees with the target."""
     if rel not in HIT_RELATIONS:
         raise MalformedInput(f"hit relation must be one of {HIT_RELATIONS}, got {rel!r}")
-    _check_target(rel, f, target)
+    _check_shape(f, FinFunc, f"relation {rel!r} function")
+    _check_target(rel, f.horizon, target)
     return sum(RELATIONS[rel][0](f, target))
 
 
@@ -402,17 +419,20 @@ def family_report(rel: str, witness, family: Family, mode: str) -> RelationRepor
 
     Bounding: per-member least thresholds of member-rel-witness (capture
     by the witness).  Evading: per-member hit counts of the witness
-    against the member.  Claims over the empty family hold vacuously.
+    against the member.  Claims over the empty family hold vacuously; the
+    relation and the witness are checked against the family all the same.
     """
     if mode not in MODES:
         raise MalformedInput(f"mode must be one of {MODES}, got {mode!r}")
     _check_shape(family, Family, "family")
+    if mode == "evading" and rel not in HIT_RELATIONS:
+        raise MalformedInput(f"evading mode needs relation in {HIT_RELATIONS}, got {rel!r}")
+    _check_relation(rel)
+    _check_target(rel, family.horizon, witness)
     if mode == "bounding":
         reports = tuple(least_threshold(rel, member, witness) for member in family)
         max_threshold = max((r.threshold for r in reports), default=0)
         return RelationReport(rel, mode, reports, None, max_threshold, math.inf)
-    if rel not in HIT_RELATIONS:
-        raise MalformedInput(f"evading mode needs relation in {HIT_RELATIONS}, got {rel!r}")
     hits = tuple(hit_count(rel, member, witness) for member in family)
     min_hits = min(hits, default=math.inf)
     return RelationReport(rel, mode, None, hits, 0, min_hits)

@@ -195,6 +195,27 @@ LIBRARY_REFUSALS = {
     "evading-relation-empty-family": lambda: family_report("leq", F1, Family((), 1), "evading"),
     "family-report-family-number": lambda: family_report("leq", FinFunc((1, 2, 3)), 5, "bounding"),
     "family-report-family-list": lambda: family_report("leq", FinFunc((1, 2, 3)), [F1], "bounding"),
+    # the empty family has no member to check the relation or the witness against
+    **{
+        f"family-report-empty-{name}": functools.partial(family_report, rel, witness, Family((), 1), mode)
+        for name, rel, witness, mode in (
+            ("relation-name", "lt", F1, "bounding"),
+            ("unhashable-relation", [], 5, "bounding"),
+            ("finfunc-target", "leq", 5, "bounding"),
+            ("horizon", "leq", FinFunc((1, 2)), "bounding"),
+            ("evading-finfunc-target", "eq", 5, "evading"),
+            ("evading-slalom-target", "in", F1, "evading"),
+        )
+    },
+    # a prefix is at most as long as what it cuts
+    **{
+        f"{name}-prefix-{cut_name}": functools.partial(whole.prefix, cut)
+        for name, whole in (
+            ("family", Family((FinFunc((1, 2, 3)),), 3)),
+            ("slalom", Slalom.identity_width([(), (0,), (0, 1)])),
+        )
+        for cut_name, cut in (("past-horizon", 5), ("negative", -1), ("bool", True))
+    },
     "block-slalom-huge-width": lambda: BlockSlalom(((),), WidthProfile((10**12,))),
     "fusion-index": lambda: fusion_leq("sacks", TREE, TREE, -1),
     "fusion-index-string": lambda: fusion_leq("sacks", TREE, TREE, "x"),
@@ -302,6 +323,22 @@ PARTITION = "classes must partition the seven region nodes"
 REFUSAL_MESSAGES = {
     "mode-name-eq": "mode must be one of ('bounding', 'evading'), got 'sideways'",
     "evading-relation-empty-family": "evading mode needs relation in ('eq', 'in'), got 'leq'",
+    # as with one member
+    "family-report-empty-relation-name": "relation must be one of ('eq', 'leq', 'neq', 'in'), got 'lt'",
+    "family-report-empty-unhashable-relation": "relation must be one of ('eq', 'leq', 'neq', 'in'), got []",
+    "family-report-empty-finfunc-target": "relation 'leq' target must be a FinFunc, got int",
+    "family-report-empty-horizon": "horizon 1 vs 2 for relation 'leq'",
+    "family-report-empty-evading-finfunc-target": "relation 'eq' target must be a FinFunc, got int",
+    "family-report-empty-evading-slalom-target": "relation 'in' target must be a Slalom, got FinFunc",
+    **{
+        f"{name}-prefix-{cut_name}": message
+        for name in ("family", "slalom")
+        for cut_name, message in (
+            ("past-horizon", "prefix horizon 5 exceeds 3"),
+            ("negative", "prefix horizon must be natural numbers, got -1"),
+            ("bool", "prefix horizon must be natural numbers, got True"),
+        )
+    },
     "hechler-stem-list": "hechler stem must be a FinFunc, got list",
     "e-stem-list": "e stem must be a FinFunc, got list",
     "loc-side-list": "loc side must be a Family, got list",
