@@ -155,23 +155,26 @@ def _cmd_construct(args):
     if args.kind == "random-family":
         if args.family is not None:
             raise MalformedInput("--family is not accepted by --kind random-family")
-        if args.seed is None or args.horizon is None or args.max_value < 1:
+        count = 4 if args.count is None else args.count
+        max_value = 16 if args.max_value is None else args.max_value
+        if args.seed is None or args.horizon is None or max_value < 1:
             raise MalformedInput("random-family needs --seed, --horizon, --max-value >= 1")
         # a member costs a line of output even on horizon 0
-        if args.count * max(args.horizon, 1) > comb.MAX_VALUES:
+        if count * max(args.horizon, 1) > comb.MAX_VALUES:
             raise MalformedInput(f"--count x --horizon exceeds {comb.MAX_VALUES}")
         if args.horizon > comb.MAX_VALUES:  # what a family file may declare, members or not
             raise MalformedInput(f"--horizon {args.horizon} exceeds {comb.MAX_VALUES}")
-        if args.max_value > comb.MAX_NATURAL:  # draws stay below --max-value
+        if max_value > comb.MAX_NATURAL:  # draws stay below --max-value
             raise MalformedInput("--max-value exceeds 10**4000")
         rng = random.Random(args.seed)
         functions = [
-            [rng.randrange(args.max_value) for _ in range(args.horizon)]
-            for _ in range(args.count)
+            [rng.randrange(max_value) for _ in range(args.horizon)]
+            for _ in range(count)
         ]
         return {"horizon": args.horizon, "functions": functions}
-    if args.seed is not None:
-        raise MalformedInput("--seed is only accepted by --kind random-family")
+    for option in ("seed", "count", "max_value"):
+        if getattr(args, option) is not None:
+            raise MalformedInput(f"--{option.replace('_', '-')} is only accepted by --kind random-family")
     if args.family is None:
         raise MalformedInput(f"--kind {args.kind} needs --family FILE")
     decode = comb.Slalom.from_obj if args.kind == "evader" else comb.Family.from_obj
@@ -265,8 +268,8 @@ _VERBS = {
         "--family": dict(metavar="FILE"),
         "--horizon": dict(type=_natural),
         "--seed": dict(type=_natural),
-        "--count": dict(type=_natural, default=4),
-        "--max-value": dict(type=_natural, default=16),
+        "--count": dict(type=_natural),
+        "--max-value": dict(type=_natural),
     }),
     "poset": (_cmd_poset, "compare two forcing conditions", {
         "--kind": dict(choices=posets.POSET_KINDS, required=True),

@@ -63,12 +63,12 @@ def _check_naturals(values, what):
             raise MalformedInput(f"{what} must be natural numbers, got a negative {bits}-bit value")
 
 
-def _check_prefix(horizon, available):
-    """MalformedInput unless `horizon` is a natural number of at most
-    `available` positions: the cut a `prefix` may make."""
-    _check_naturals((horizon,), "prefix horizon")
-    if horizon > available:
-        raise MalformedInput(f"prefix horizon {horizon} exceeds {available}")
+def _check_at_most(value, bound, what):
+    """MalformedInput naming `what` unless `value` is a natural number of at
+    most `bound`."""
+    _check_naturals((value,), what)
+    if value > bound:
+        raise MalformedInput(f"{what} {value} exceeds {bound}")
 
 
 def _unchecked(cls, **fields):
@@ -196,9 +196,7 @@ class WidthProfile:
     def identity(cls, horizon: int) -> "WidthProfile":
         """The profile h(n) = n, under which cell 0 is forced empty; the
         horizon is a natural number of at most MAX_VALUES positions."""
-        _check_naturals((horizon,), "identity width horizon")
-        if horizon > MAX_VALUES:
-            raise MalformedInput(f"identity width horizon {horizon} exceeds {MAX_VALUES}")
+        _check_at_most(horizon, MAX_VALUES, "identity width horizon")
         return _unchecked(cls, widths=tuple(range(horizon)))
 
 
@@ -243,7 +241,7 @@ class Slalom:
     def prefix(self, horizon: int) -> "Slalom":
         """The first `horizon` cells and widths, sliced without a re-check;
         `horizon` is a natural number of at most the slalom's."""
-        _check_prefix(horizon, self.horizon)
+        _check_at_most(horizon, self.horizon, "prefix horizon")
         width = _unchecked(WidthProfile, widths=self.width.widths[:horizon])
         return _unchecked(Slalom, cells=self.cells[:horizon], width=width)
 
@@ -289,9 +287,7 @@ class Family:
 
     def __post_init__(self):
         object.__setattr__(self, "functions", _as_tuple(self.functions, "family functions"))
-        _check_naturals((self.horizon,), "family horizon")
-        if self.horizon > MAX_VALUES:
-            raise MalformedInput(f"family horizon {self.horizon} exceeds {MAX_VALUES}")
+        _check_at_most(self.horizon, MAX_VALUES, "family horizon")
         for f in self.functions:
             _check_shape(f, FinFunc, "family member")
             if f.horizon != self.horizon:
@@ -308,7 +304,7 @@ class Family:
     def prefix(self, horizon: int) -> "Family":
         """Each member's first `horizon` values, sliced without a re-check;
         `horizon` is a natural number of at most the family's."""
-        _check_prefix(horizon, self.horizon)
+        _check_at_most(horizon, self.horizon, "prefix horizon")
         functions = tuple(_unchecked(FinFunc, values=f.values[:horizon]) for f in self)
         return _unchecked(Family, functions=functions, horizon=horizon)
 

@@ -25,55 +25,53 @@ FUSION_KINDS = ("sacks", "laver", "product")
 Node = tuple[int, ...]
 
 
+class _Stem:
+    """A stem condition; `_FIELDS` maps each field (its JSON key too), in order, to its class."""
+
+    def __post_init__(self):
+        for name, cls in self._FIELDS.items():
+            if not isinstance(value := getattr(self, name), cls):  # label only on refusal
+                _check_shape(value, cls, f"{self.kind} {name}")
+
+
 @dataclass(frozen=True)
-class CohenCond:
+class CohenCond(_Stem):
     """A finite sequence; the order is end-extension."""
 
+    _FIELDS = {"stem": FinFunc}
     stem: FinFunc
     kind: str = field(default="cohen", init=False)
 
-    def __post_init__(self):
-        _check_shape(self.stem, FinFunc, "cohen stem")
-
 
 @dataclass(frozen=True)
-class HechlerCond:
+class HechlerCond(_Stem):
     """Simplified form: an initial-segment stem with a single side function
     over the working horizon."""
 
+    _FIELDS = {"stem": FinFunc, "side": FinFunc}
     stem: FinFunc
     side: FinFunc
     kind: str = field(default="hechler", init=False)
 
-    def __post_init__(self):
-        _check_shape(self.stem, FinFunc, "hechler stem")
-        _check_shape(self.side, FinFunc, "hechler side")
-
 
 @dataclass(frozen=True)
-class ECond:
+class ECond(_Stem):
     """Stem plus a side family; new stem values must avoid every side value."""
 
+    _FIELDS = {"stem": FinFunc, "side": Family}
     stem: FinFunc
     side: Family
     kind: str = field(default="e", init=False)
 
-    def __post_init__(self):
-        _check_shape(self.stem, FinFunc, "e stem")
-        _check_shape(self.side, Family, "e side")
-
 
 @dataclass(frozen=True)
-class LocCond:
+class LocCond(_Stem):
     """An identity-width slalom prefix plus a side family to be captured."""
 
+    _FIELDS = {"prefix": Slalom, "side": Family}
     prefix: Slalom
     side: Family
     kind: str = field(default="loc", init=False)
-
-    def __post_init__(self):
-        _check_shape(self.prefix, Slalom, "loc prefix")
-        _check_shape(self.side, Family, "loc side")
 
 
 @dataclass(frozen=True)
@@ -316,16 +314,11 @@ def _keeps_levels(a: FiniteTree, b: FiniteTree, n: int) -> bool:
 
 def condition_to_obj(cond: Condition):
     kind = getattr(cond, "kind", None)
-    if isinstance(cond, CohenCond):
-        return {"kind": kind, "stem": cond.stem.to_obj()}
-    if isinstance(cond, (HechlerCond, ECond)):
-        return {"kind": kind, "stem": cond.stem.to_obj(), "side": cond.side.to_obj()}
-    if isinstance(cond, LocCond):
-        return {
-            "kind": kind,
-            "prefix": [sorted(c) for c in cond.prefix.cells],
-            "side": cond.side.to_obj(),
-        }
+    if isinstance(cond, _Stem):  # a field's name is its key; a loc prefix is its cells alone
+        obj = {"kind": kind}
+        for name in cond._FIELDS:
+            obj[name] = [sorted(c) for c in v.cells] if isinstance(v := getattr(cond, name), Slalom) else v.to_obj()
+        return obj
     if isinstance(cond, FiniteTree):
         return {"kind": kind, "nodes": [list(node) for node in sorted(cond.nodes)]}
     if isinstance(cond, ProductCond):
@@ -339,19 +332,16 @@ def condition_to_obj(cond: Condition):
 
 def condition_from_obj(obj) -> Condition:
     kind = _check_shape(obj, dict, "condition", ("kind",))["kind"]
-    if kind == "cohen":
-        _check_shape(obj, dict, "cohen condition", ("stem",))
-        return CohenCond(FinFunc.from_obj(obj["stem"]))
-    if kind == "hechler":
-        _check_shape(obj, dict, "hechler condition", ("stem", "side"))
-        return HechlerCond(FinFunc.from_obj(obj["stem"]), FinFunc.from_obj(obj["side"]))
-    if kind == "e":
-        _check_shape(obj, dict, "e condition", ("stem", "side"))
-        return ECond(FinFunc.from_obj(obj["stem"]), Family.from_obj(obj["side"]))
-    if kind == "loc":
-        _check_shape(obj, dict, "loc condition", ("prefix", "side"))
-        prefix = _check_shape(obj["prefix"], list, "loc prefix", items=list)
-        return LocCond(Slalom.identity_width(prefix), Family.from_obj(obj["side"]))
+    for stem in (CohenCond, HechlerCond, ECond, LocCond):  # by equality: a kind may be unhashable
+        if kind == stem.kind:
+            _check_shape(obj, dict, f"{kind} condition", tuple(stem._FIELDS))
+            values = []  # a loop, not a comprehension: no frame per call on Python 3.11
+            for name, cls in stem._FIELDS.items():
+                if cls is Slalom:  # a loc prefix is read from its cells alone, at identity width
+                    values.append(Slalom.identity_width(_check_shape(obj[name], list, "loc prefix", items=list)))
+                else:
+                    values.append(cls.from_obj(obj[name]))
+            return stem(*values)
     if kind in ("sacks", "laver"):
         return _tree_from_obj(obj)
     if kind == "product":

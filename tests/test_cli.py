@@ -1155,7 +1155,7 @@ def test_load_json_reads_as_text_mode(tmp_path, data):
 # exit 0 or 1 prints the payload given.
 
 LEQ = ["poset", "--kind", "{kind}", "--op", "leq", "--a", "{a}", "--b", "{b}"]
-LIFT = ["project", "--map", "loc-d", "--cond", "{a}", "--lift", "{b}"]
+LIFT_D = ["project", "--map", "loc-d", "--cond", "{a}", "--lift", "{b}"]
 LIFT_E = ["project", "--map", "loc-e", "--cond", "{a}", "--lift", "{b}"]
 
 
@@ -1211,6 +1211,15 @@ BRANCHES = {
         FAMILY + ["--horizon", "3"], {"horizon": 2, "functions": [[1, 2]]}, None, 2,
         "MalformedInput: --horizon 3 exceeds the input's 2\n",
     ),
+    # random-family's options, refused elsewhere in one wording
+    **{
+        f"construct-{option}-outside-random-family": (
+            ["construct", "--kind", kind, "--family", "{a}", f"--{option}", value],
+            {"horizon": 1, "functions": [[1]]}, None, 2,
+            f"MalformedInput: --{option} is only accepted by --kind random-family\n",
+        )
+        for option, kind, value in (("seed", "ioe", "1"), ("count", "dominator", "9"), ("max-value", "evdiff", "0"))
+    },
     "dominator-without-family": (
         ["construct", "--kind", "dominator"], None, None, 2, "MalformedInput: ",
     ),
@@ -1218,16 +1227,16 @@ BRANCHES = {
         ["project", "--map", "loc-d", "--cond", "{a}"], {"loc": _loc([[], [3]], 3, [[1, 4, 2]])},
         None, 0, {"kind": "hechler", "stem": [0, 3], "side": [1, 4, 2]},
     ),
-    "project-pair-and-lift": (LIFT, {"loc": _loc([[]], 1)}, HECHLER, 2, "MalformedInput: "),
+    "project-pair-and-lift": (LIFT_D, {"loc": _loc([[]], 1)}, HECHLER, 2, "MalformedInput: "),
     "project-non-loc": (
         ["project", "--map", "loc-d", "--cond", "{a}"], HECHLER, None, 2,
         "KindMismatch: expected 'loc' condition, got 'hechler'",
     ),
     "project-lift-wrong-kind": (
-        LIFT, _loc([[]], 1), _e(1), 2, "KindMismatch: expected 'hechler' condition, got 'e'",
+        LIFT_D, _loc([[]], 1), _e(1), 2, "KindMismatch: expected 'hechler' condition, got 'e'",
     ),
     "project-lift-d-horizons": (
-        LIFT, _loc([[]], 2), HECHLER, 2,
+        LIFT_D, _loc([[]], 2), HECHLER, 2,
         "HorizonMismatch: hechler sides live on different horizons",
     ),
     "project-lift-e-horizons": (

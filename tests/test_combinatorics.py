@@ -339,9 +339,15 @@ REFUSAL_MESSAGES = {
             ("bool", "prefix horizon must be natural numbers, got True"),
         )
     },
+    # each stem condition's field check, labelled "<kind> <field>"
+    "cohen-stem-list": "cohen stem must be a FinFunc, got list",
     "hechler-stem-list": "hechler stem must be a FinFunc, got list",
+    "hechler-side-list": "hechler side must be a FinFunc, got list",
     "e-stem-list": "e stem must be a FinFunc, got list",
+    "e-side-list": "e side must be a Family, got list",
+    "loc-prefix-list": "loc prefix must be a Slalom, got list",
     "loc-side-list": "loc side must be a Family, got list",
+    "family-huge-horizon": "family horizon 10000000 exceeds 1000000",
     "kind-leq-first": "expected 'e' condition, got 'sacks'",
     "diagram-state-from-obj-list": "diagram state must be a dict, got list",
     "tree-entry-past-max-natural": "laver node entries must be below 10**4000 in magnitude",

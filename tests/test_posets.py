@@ -1,6 +1,7 @@
 """Condition validity, the six orders, splitting machinery, and the
 fusion orders with their nesting law."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -748,3 +749,10 @@ def test_condition_json_round_trip(rng):
 def test_condition_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         condition_from_obj({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("cls", [CohenCond, HechlerCond, ECond, LocCond], ids=lambda c: c.__name__)
+def test_stem_field_table_names_the_init_fields_in_order(cls):
+    """The one table the field check and the codec read is the class body's."""
+    init_fields = [f.name for f in dataclasses.fields(cls) if f.init]
+    assert list(cls._FIELDS) == init_fields
