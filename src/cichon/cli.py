@@ -25,6 +25,7 @@ import argparse
 import functools
 import gc
 import json
+import os
 import random
 import sys
 
@@ -49,11 +50,27 @@ def _dump(obj) -> str:
     return comb.dump_json(obj)
 
 
+_READ_SIZE = 1 << 16  # bytes asked of each os.read of an input file
+
+
 def _load_json(path: str):
     """The file's JSON value, read as text mode would read it: UTF-8 only,
-    with its line ends translated to "\\n"."""
-    with open(path, "rb", buffering=0) as handle:
-        data = handle.read()
+    with its line ends translated to "\\n".  The bytes are read to EOF from
+    a raw descriptor, so a pipe or FIFO reads like a regular file."""
+    try:
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    except ValueError as exc:  # a NUL in the path, or a lone surrogate
+        raise MalformedInput(f"{path!r}: not a usable path: {exc}") from None
+    chunks = []
+    try:
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    except OSError as exc:  # a directory opens, then fails to read
+        exc.filename = path
+        raise
+    finally:
+        os.close(fd)
+    data = b"".join(chunks)
     try:
         text = data.decode("utf-8")
         if "\r" in text:
@@ -114,7 +131,9 @@ def _parse_plain(verb: str, tokens) -> argparse.Namespace | None:
         args[dest] = value
     if any(args[dest] is None for dest in required):  # a given value is never None
         return None
-    return argparse.Namespace(**args)
+    ns = argparse.Namespace()  # Namespace(**args) sets each attribute in a Python loop
+    vars(ns).update(args)
+    return ns
 
 
 def _parse(argv) -> argparse.Namespace:

@@ -8,6 +8,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import cichon
 from cichon import Family, ProductCond, errors
-from cichon.cli import CONSTRUCT_KINDS, _VERBS, _build_parser, _load_json, _parse, run
+from cichon.cli import CONSTRUCT_KINDS, _READ_SIZE, _VERBS, _build_parser, _load_json, _parse, run
 from cichon.combinatorics import MAX_NATURAL
 from cichon.posets import POSET_KINDS, condition_to_obj
 from conftest import make_laver, make_sacks, prune_tree
@@ -776,9 +778,58 @@ def test_run_restores_the_collector_state(tmp_path, enabled, argv, code):
 
 
 def test_a_directory_input_is_an_os_error(tmp_path):
-    """Inputs are read unbuffered; a directory still fails to open, exit 2."""
+    """A directory opens as a descriptor but fails to read; the error still
+    names it, exit 2."""
     argv = _gc_argv(tmp_path, CHECK_F + ["leq", "--g", "{d}"])
     assert invoke(argv) == (2, "", f"IsADirectoryError: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_fifo_input_is_read_to_eof(tmp_path):
+    """A FIFO delivers its document in two writes; both are read."""
+    fifo = tmp_path / "f.fifo"
+    os.mkfifo(fifo)
+
+    def writer():
+        with open(fifo, "wb", buffering=0) as handle:  # blocks until `run` opens it
+            handle.write(b"[1, 2")
+            time.sleep(0.2)
+            handle.write(b", 3]")
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    g = write(tmp_path, "g.json", [5, 5, 5])
+    code, out, err = invoke(["check", "--relation", "leq", "--f", str(fifo), "--g", g])
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["horizon"] == 3
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc")
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("missing.json", None),
+        ("", None),  # the directory itself
+        ("bad-utf8.json", b"[1, \xff]"),
+        ("bad-json.json", b"[1,"),
+        ("a\x00b", None),
+    ],
+    ids=["missing", "directory", "invalid-utf8", "invalid-json", "nul-path"],
+)
+def test_a_refused_read_leaks_no_descriptor(tmp_path, name, data):
+    path = name if "\x00" in name else tmp_path / name
+    if data is not None:
+        path.write_bytes(data)
+    g = write(tmp_path, "g.json", [5])
+    before = _open_fds()
+    assert invoke(["check", "--relation", "leq", "--f", str(path), "--g", g])[0] == 2
+    assert _open_fds() == before
 
 
 def test_run_pauses_the_collector_while_a_command_emits(monkeypatch):
@@ -1150,6 +1201,26 @@ def test_load_json_reads_as_text_mode(tmp_path, data):
     assert got == _read_text_mode(path)
 
 
+@pytest.mark.parametrize("offset", range(-2, 3))
+@pytest.mark.parametrize(
+    "head, piece, tail",
+    [(b'["', b"\xc3\xa9", b'"]'), (b"[", b"\r\n", b"x]")],
+    ids=["two-byte-char", "crlf"],
+)
+def test_a_piece_across_a_read_chunk_reads_as_text_mode(tmp_path, head, piece, tail, offset):
+    """A file longer than one read chunk, with a two-byte character or a
+    line end starting `offset` bytes from the chunk's end, decodes (or is
+    refused, at the translated position) as a text-mode read does."""
+    pad = (b" " if piece == b"\r\n" else b"a") * (_READ_SIZE + offset - len(head))
+    path = tmp_path / "input.json"
+    path.write_bytes(head + pad + piece + tail)
+    try:
+        got = repr(_load_json(str(path)))
+    except errors.MalformedInput as exc:
+        got = str(exc)
+    assert got == _read_text_mode(path)
+
+
 # ---------------------------------------------------------------------------
 # Branches the other tests leave unexercised: an exit 2 names its clause, an
 # exit 0 or 1 prints the payload given.
@@ -1220,6 +1291,15 @@ BRANCHES = {
         )
         for option, kind, value in (("seed", "ioe", "1"), ("count", "dominator", "9"), ("max-value", "evdiff", "0"))
     },
+    # paths no file can have, which only an in-process caller can pass
+    "check-nul-in-path": (
+        ["check", "--relation", "leq", "--f", "a\x00b", "--g", "{b}"], None, [1], 2,
+        "MalformedInput: 'a\\x00b': not a usable path: embedded null byte\n",
+    ),
+    "check-lone-surrogate-in-path": (
+        ["check", "--relation", "leq", "--f", "\ud800", "--g", "{b}"], None, [1], 2,
+        "MalformedInput: '\\ud800': not a usable path: ",
+    ),
     "dominator-without-family": (
         ["construct", "--kind", "dominator"], None, None, 2, "MalformedInput: ",
     ),
