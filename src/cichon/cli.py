@@ -16,12 +16,15 @@ call writes nothing on stdout.
 option written whole, each value not starting with "-", every required
 option given and every value of its type and among its choices) is read
 straight from its verb's rows and builds no parser; argparse, built from the
-same rows once per process, parses and words everything else.
+same rows once per process, parses and words everything else.  `run`
+points `sys.stdout` and `sys.stderr` at its given streams only while
+argparse parses a call the plain parse does not take.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
@@ -36,13 +39,15 @@ from . import posets
 from . import projections as proj
 from .errors import CichonError, MalformedInput
 
-CONSTRUCT_KINDS = ("dominator", "ioe", "evdiff", "slalom", "evader", "random-family")
-
-# kind -> (name in `constructions`, looked up at call time; report relation, mode)
-WITNESS_KINDS = {
-    "dominator": ("family_dominator", "leq", "bounding"),
-    "ioe": ("round_robin_ioe", "eq", "evading"),
-    "evdiff": ("least_avoider", "eq", "evading"),
+# kind -> (input class, its builder's name in `constructions`, looked up at call
+# time, and the (relation, mode) its report checks or None); random-family has none
+CONSTRUCT_KINDS = {
+    "dominator": (comb.Family, "family_dominator", ("leq", "bounding")),
+    "ioe": (comb.Family, "round_robin_ioe", ("eq", "evading")),
+    "evdiff": (comb.Family, "least_avoider", ("eq", "evading")),
+    "slalom": (comb.Family, "family_slalom", None),
+    "evader": (comb.Slalom, "sum_evader_bound", None),
+    "random-family": (None, None, None),
 }
 
 
@@ -88,8 +93,8 @@ def _natural(text: str) -> int:
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and its verb parsers by name, built once from `_VERBS`."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, built once from `_VERBS`."""
     parser = argparse.ArgumentParser(
         prog="cichon",
         description="Finite-scale combinatorics of the Cichon diagram.",
@@ -99,7 +104,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p = sub.add_parser(verb, help=text)
         for option, keywords in options.items():
             p.add_argument(option, **keywords)
-    return parser, sub.choices
+    return parser
 
 
 def _parse_plain(verb: str, tokens) -> argparse.Namespace | None:
@@ -136,11 +141,15 @@ def _parse_plain(verb: str, tokens) -> argparse.Namespace | None:
     return ns
 
 
-def _parse(argv) -> argparse.Namespace:
-    """The top-level parser's `parse_args(argv)`; a plain call is read from
-    its verb's rows instead, without building a parser."""
+def _parse(argv, out, err) -> argparse.Namespace:
+    """The top-level parser's `parse_args(argv)`, its --help written to `out`
+    and its usage errors to `err`; a plain call is read from its verb's rows
+    instead, without building a parser."""
     args = _parse_plain(argv[0], argv[1:]) if argv and argv[0] in _PLAIN else None
-    return args if args is not None else _build_parser()[0].parse_args(argv)
+    if args is None:  # argparse writes to sys.stdout and sys.stderr
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
+    return args
 
 
 def _cmd_diagram(args):
@@ -163,15 +172,9 @@ def _cmd_check(args):
     return payload
 
 
-def _truncate(obj, horizon):
-    """The first `horizon` positions of a family or a slalom."""
-    if horizon > obj.horizon:
-        raise MalformedInput(f"--horizon {horizon} exceeds the input's {obj.horizon}")
-    return obj.prefix(horizon)
-
-
 def _cmd_construct(args):
-    if args.kind == "random-family":
+    source_cls, builder, checks = CONSTRUCT_KINDS[args.kind]
+    if source_cls is None:  # random-family
         if args.family is not None:
             raise MalformedInput("--family is not accepted by --kind random-family")
         count = 4 if args.count is None else args.count
@@ -196,21 +199,20 @@ def _cmd_construct(args):
             raise MalformedInput(f"--{option.replace('_', '-')} is only accepted by --kind random-family")
     if args.family is None:
         raise MalformedInput(f"--kind {args.kind} needs --family FILE")
-    decode = comb.Slalom.from_obj if args.kind == "evader" else comb.Family.from_obj
-    source = decode(_load_json(args.family))
+    source = source_cls.from_obj(_load_json(args.family))
     if args.horizon is not None:
-        source = _truncate(source, args.horizon)
-    if args.kind == "evader":
-        return {"kind": args.kind, "witness": cons.sum_evader_bound(source).to_obj()}
-    if args.kind == "slalom":
-        sigma, thresholds = cons.family_slalom(source)
-        payload = {"witness": sigma.to_obj(), "capture_thresholds": list(thresholds)}
-    else:
-        name, relation, mode = WITNESS_KINDS[args.kind]
-        witness = getattr(cons, name)(source)
-        report = comb.family_report(relation, witness, source, mode)
-        payload = {"witness": witness.to_obj(), "report": report.to_obj()}
-    return {"kind": args.kind, **payload}
+        if args.horizon > source.horizon:
+            raise MalformedInput(f"--horizon {args.horizon} exceeds the input's {source.horizon}")
+        source = source.prefix(args.horizon)
+    witness = getattr(cons, builder)(source)
+    if args.kind == "slalom":  # the one builder that also gives capture thresholds
+        sigma, thresholds = witness
+        return {"kind": args.kind, "witness": sigma.to_obj(), "capture_thresholds": list(thresholds)}
+    payload = {"kind": args.kind, "witness": witness.to_obj()}
+    if checks is not None:
+        relation, mode = checks
+        payload["report"] = comb.family_report(relation, witness, source, mode).to_obj()
+    return payload
 
 
 def _cmd_poset(args):
@@ -283,7 +285,7 @@ _VERBS = {
         "--g": dict(required=True, metavar="FILE"),
     }),
     "construct": (_cmd_construct, "build a witness from an input file", {
-        "--kind": dict(choices=CONSTRUCT_KINDS, required=True),
+        "--kind": dict(choices=tuple(CONSTRUCT_KINDS), required=True),
         "--family": dict(metavar="FILE"),
         "--horizon": dict(type=_natural),
         "--seed": dict(type=_natural),
@@ -321,15 +323,10 @@ _PLAIN = {verb: _plain_rows(options) for verb, (_, _, options) in _VERBS.items()
 def run(argv, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    # argparse writes --help to sys.stdout and usage errors to sys.stderr
-    streams = sys.stdout, sys.stderr
-    sys.stdout, sys.stderr = out, err
     try:
-        args = _parse(argv)
+        args = _parse(argv, out, err)
     except SystemExit as exc:
         return int(exc.code or 0)
-    finally:
-        sys.stdout, sys.stderr = streams
     # a command's values hold no reference cycles, so the collector only rescans them
     was_enabled = gc.isenabled()
     gc.disable()

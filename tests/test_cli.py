@@ -1,5 +1,6 @@
 """CLI contract: verbs, JSON/DOT payloads, determinism, and exit codes."""
 
+import argparse
 import contextlib
 import gc
 import io
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import cichon
-from cichon import Family, ProductCond, errors
+from cichon import Family, ProductCond, cli, errors
 from cichon.cli import CONSTRUCT_KINDS, _READ_SIZE, _VERBS, _build_parser, _load_json, _parse, run
 from cichon.combinatorics import MAX_NATURAL
 from cichon.posets import POSET_KINDS, condition_to_obj
@@ -529,12 +530,15 @@ def test_unknown_flag_rejected():
 
 
 def test_usage_goes_to_the_given_streams(capsys):
+    streams = sys.stdout, sys.stderr
     code, out, err = invoke(["check"])
     assert (code, out) == (2, "")
     assert err.startswith("usage: cichon check")
+    assert sys.stdout is streams[0] and sys.stderr is streams[1]
     code, out, err = invoke(["--help"])
     assert (code, err) == (0, "")
     assert out.startswith("usage: cichon")
+    assert sys.stdout is streams[0] and sys.stderr is streams[1]
     assert capsys.readouterr() == ("", "")
 
 
@@ -775,6 +779,32 @@ def test_run_restores_the_collector_state(tmp_path, enabled, argv, code):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+class RecordingSys:
+    """Reads through to `sys` and records each attribute set on it."""
+
+    def __init__(self):
+        vars(self)["stores"] = []
+
+    def __getattr__(self, name):
+        return getattr(sys, name)
+
+    def __setattr__(self, name, value):
+        self.stores.append(name)
+        setattr(sys, name, value)
+
+
+@pytest.mark.parametrize("case", sorted(GC_CALLS))
+def test_a_plain_call_leaves_sys_alone(tmp_path, monkeypatch, case):
+    """Only argparse writes to `sys.stdout` and `sys.stderr`, so a call the
+    plain parse takes, one of each verb, sets no attribute on `sys`."""
+    recording = RecordingSys()
+    monkeypatch.setattr(cli, "sys", recording)
+    monkeypatch.setattr(cli, "_build_parser", None)  # not called
+    code, _, err = invoke(_gc_argv(tmp_path, GC_CALLS[case]))
+    assert (code == 2) == (case == "project-lift-refused"), err
+    assert recording.stores == []
 
 
 def test_a_directory_input_is_an_os_error(tmp_path):
@@ -1049,7 +1079,8 @@ def test_random_family_value_bound(tmp_path):
 # ---------------------------------------------------------------------------
 # The plain parse against the full parser as reference
 
-PARSER, VERBS = _build_parser()
+PARSER = _build_parser()
+VERBS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
 NOISE = ("-h", "--help", "--he", "--", "--nope", "-x", "-1", "x", "frobnicate", "cuts")
 
 
@@ -1096,14 +1127,20 @@ PARSE_ARGVS = st.one_of(
 
 
 def _parsed(parse, argv):
-    """The namespace `parse` returns or its exit code, with what it printed."""
+    """The namespace `parse(argv, out, err)` returns or its exit code, with
+    what it wrote on `out` and `err`."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            result = parse(argv)
-        except SystemExit as exc:
-            result = exc.code
+    try:
+        result = parse(argv, out, err)
+    except SystemExit as exc:
+        result = exc.code
     return result, out.getvalue(), err.getvalue()
+
+
+def _parse_args(argv, out, err):
+    """The top-level parser's `parse_args(argv)`, printing on `out` and `err`."""
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return PARSER.parse_args(argv)
 
 
 @settings(max_examples=500, deadline=None)
@@ -1126,7 +1163,7 @@ def _parsed(parse, argv):
 def test_verb_first_parse_matches_the_full_parser(argv):
     """`_parse` gives the namespace the top-level parser's `parse_args`
     gives, or exits with the same code and the same output."""
-    assert _parsed(_parse, argv) == _parsed(PARSER.parse_args, argv)
+    assert _parsed(_parse, argv) == _parsed(_parse_args, argv)
 
 
 def _whole_argv(verb, required_only):
@@ -1149,7 +1186,7 @@ def test_plain_call_takes_the_plain_path(monkeypatch, verb, required_only):
     argv = _whole_argv(verb, required_only)
     expected = PARSER.parse_args(argv)
     monkeypatch.setattr(VERBS[verb], "parse_known_args", None)  # not called
-    assert _parse(argv) == expected
+    assert _parse(argv, io.StringIO(), io.StringIO()) == expected
 
 
 # ---------------------------------------------------------------------------
